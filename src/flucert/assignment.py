@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.optimize import linear_sum_assignment
 
+from .densities import QUAD_TOL, AffinityResult, _quad_or_raise
 from .errors import DomainError, NumericError, ShapeError
-from .densities import AffinityResult
 
 
 @dataclass(frozen=True)
@@ -58,43 +58,9 @@ class AssignmentResult:
 
 
 def hungarian(cm):
-    """Optimal assignment by the O(n^3) potential-based augmenting-path method."""
-    a = cm.entries
-    n = cm.n
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=int)  # match[j]: row assigned to column j
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            cur = a[i0 - 1, :] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (cur < minv[1:])
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            masked = np.where(free, minv[1:], np.inf)
-            j1 = int(np.argmin(masked)) + 1
-            delta = masked[j1 - 1]
-            u[match[used]] += delta
-            v[used] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = int(way[j0])
-            match[j0] = match[j1]
-            j0 = j1
-    perm = np.empty(n, dtype=int)
-    for j in range(1, n + 1):
-        perm[match[j] - 1] = j - 1
-    cost = float(a[np.arange(n), perm].sum())
+    """Optimal assignment by ``scipy.optimize.linear_sum_assignment``."""
+    _rows, perm = linear_sum_assignment(cm.entries)
+    cost = float(cm.entries[np.arange(cm.n), perm].sum())
     return AssignmentResult(permutation=perm, cost=cost)
 
 
@@ -190,12 +156,15 @@ def perturbation_affinity(f, alpha, n):
         )
 
     break_x = 1.0 / n
-    v1, e1 = quad(integrand_low, lo, break_x, epsabs=1e-12, epsrel=1e-12, limit=200)
-    v2, e2 = quad(integrand_high, break_x, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
+    what = f"deformation affinity({f.name}, alpha={alpha}, n={n})"
+    v1, e1 = _quad_or_raise(integrand_low, lo, break_x, what)
+    v2, e2 = _quad_or_raise(integrand_high, break_x, hi, what)
     value, err = v1 + v2, e1 + e2
-    if err > 1e-8:
+    if err > QUAD_TOL:
         raise NumericError(
-            f"deformation affinity quadrature error {err:g} too large", partial=value
+            f"quadrature for {what} did not converge below {QUAD_TOL:g} "
+            f"(summed error estimate {err:g})",
+            partial=value,
         )
     return AffinityResult(min(value, 1.0), err, "adaptive-quadrature")
 
@@ -205,17 +174,13 @@ def row_tail_probability(f, n):
     if f.support != "half-line":
         raise DomainError("cost densities live on the half line")
     n = int(n)
-    lo, hi = f.quad_range()
-    tail, err = quad(
+    hi = f.quad_range()[1]
+    tail, _err = _quad_or_raise(
         lambda x: math.exp(-float(f.potential(x))),
         1.0 / n,
         hi,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
+        f"row tail({f.name}, n={n})",
     )
-    if err > 1e-8:
-        raise NumericError(f"tail quadrature error {err:g} too large", partial=tail)
     return min(tail, 1.0) ** n
 
 

@@ -1,8 +1,9 @@
 """First-passage percolation on finite planar boxes.
 
 Vertices are (x, y) with 0 <= x < width and 0 <= y < height; edges join
-nearest neighbors.  Passage times come from Dijkstra with deterministic tie
-breaking, so the geodesic witness is reproducible.  Two perturbation
+nearest neighbors.  Passage times come from SciPy's compiled Dijkstra, and the
+geodesic witness is rebuilt from its predecessor array; when several paths
+tie, any one of them is a valid witness for the certified gap.  Two perturbation
 schedules divide edge weights by (1 + eps_e): one graded by graph distance
 from the source, one uniform inside a corridor around the source-target
 segment.
@@ -10,16 +11,16 @@ segment.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .coupling import PerturbationPlan, product_tv_bound
-from .densities import scaled_affinity
+from .densities import _quad_or_raise, scaled_affinity
 from .errors import ConfigError, DomainError, NumericError, ShapeError
 
 SCHEDULE_KINDS = ("distance-graded", "corridor")
@@ -138,67 +139,31 @@ class EpsSchedule:
 def passage_time(grid):
     """Exact first-passage time and one geodesic from source to target.
 
-    Dijkstra over the box; ties between equal-cost predecessors are broken
-    toward the smaller vertex index, making the witness deterministic.
+    ``scipy.sparse.csgraph.dijkstra`` on the box graph, with the geodesic
+    read back from its predecessor array.
     """
     w, h = grid.width, grid.height
-    n_vertices = w * h
-
-    def vid(x, y):
-        return x * h + y
-
-    dist = np.full(n_vertices, np.inf)
-    pred = np.full(n_vertices, -1, dtype=np.int64)
-    done = np.zeros(n_vertices, dtype=bool)
-    src = vid(*grid.source)
-    tgt = vid(*grid.target)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    hw, vw = grid.h_weights, grid.v_weights
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == tgt:
-            break
-        x, y = divmod(u, h)
-        if x + 1 < w:
-            _relax(dist, pred, heap, done, u, vid(x + 1, y), d + hw[x, y])
-        if x > 0:
-            _relax(dist, pred, heap, done, u, vid(x - 1, y), d + hw[x - 1, y])
-        if y + 1 < h:
-            _relax(dist, pred, heap, done, u, vid(x, y + 1), d + vw[x, y])
-        if y > 0:
-            _relax(dist, pred, heap, done, u, vid(x, y - 1), d + vw[x, y - 1])
-    if not done[tgt]:
+    ids = np.arange(w * h).reshape(w, h)
+    rows = np.concatenate([ids[:-1, :].ravel(), ids[:, :-1].ravel()])
+    cols = np.concatenate([ids[1:, :].ravel(), ids[:, 1:].ravel()])
+    weights = np.concatenate([grid.h_weights.ravel(), grid.v_weights.ravel()])
+    graph = csr_matrix((weights, (rows, cols)), shape=(w * h, w * h))
+    src, tgt = int(ids[grid.source]), int(ids[grid.target])
+    dist, pred = dijkstra(graph, directed=False, indices=src, return_predecessors=True)
+    if not np.isfinite(dist[tgt]):
         raise NumericError("target unreachable on a connected box")
 
-    path = []
-    u = tgt
-    while u != -1:
-        path.append((int(u // h), int(u % h)))
-        u = int(pred[u]) if u != src else -1
-    path.reverse()
+    backward = [tgt]
+    while backward[-1] != src:
+        backward.append(int(pred[backward[-1]]))
+    path = tuple(divmod(u, h) for u in reversed(backward))
     edges = tuple(zip(path[:-1], path[1:]))
-    weights = np.array([grid.edge_weight(a, b) for a, b in edges])
     return GeodesicResult(
         passage_time=float(dist[tgt]),
-        path=tuple(path),
+        path=path,
         edge_list=edges,
-        edge_weights=weights,
+        edge_weights=np.array([grid.edge_weight(a, b) for a, b in edges]),
     )
-
-
-def _relax(dist, pred, heap, done, u, v, cand):
-    if done[v]:
-        return
-    if cand < dist[v]:
-        dist[v] = cand
-        pred[v] = u
-        heapq.heappush(heap, (cand, v))
-    elif cand == dist[v] and (pred[v] == -1 or u < pred[v]):
-        pred[v] = u
 
 
 def _endpoint_grids(grid):
@@ -221,12 +186,21 @@ def graded_eps(k, alpha, n):
 
 
 def graded_schedule(grid, alpha, n):
-    """Distance-graded schedule: shrink near the source, cut off at n/2."""
+    """Distance-graded schedule: shrink near the source, cut off at n/2.
+
+    The strength is largest at the source, alpha / sqrt(log n), and must stay
+    below 1/2 for the per-edge affinities to exist.
+    """
     n = int(n)
     if n < 5:
         raise DomainError(f"need n >= 5 so that log n > 1, got {n}")
     if not float(alpha) > 0.0:
         raise DomainError("alpha must be positive")
+    eps0 = graded_eps(0, alpha, n)
+    if eps0 >= 0.5:
+        raise DomainError(
+            f"source strength alpha / sqrt(log n) = {eps0:.3f} must be below 1/2"
+        )
     k_vertex = _source_graph_distance(grid)
     k_h = np.minimum(k_vertex[:-1, :], k_vertex[1:, :])
     k_v = np.minimum(k_vertex[:, :-1], k_vertex[:, 1:])
@@ -349,18 +323,12 @@ def laplace_transform(density, theta):
         raise DomainError("edge weight densities live on the half line")
     lo, hi = density.quad_range()
     theta = float(theta)
-    value, err = quad(
+    value, _err = _quad_or_raise(
         lambda x: math.exp(-theta * x - float(density.potential(x))),
         lo,
         hi,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
+        f"Laplace transform({density.name}, theta={theta})",
     )
-    if err > 1e-8:
-        raise NumericError(
-            f"Laplace transform quadrature error {err:g} too large", partial=value
-        )
     return value
 
 

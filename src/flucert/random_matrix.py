@@ -19,9 +19,6 @@ from .densities import sample_iid, scaled_affinity
 from .errors import DomainError, RankError, ShapeError
 from .rng import seed_stream
 
-#: pivots below this magnitude mark the matrix as rank deficient
-PIVOT_FLOOR = 1e-300
-
 ENSEMBLE_KINDS = ("wigner", "sample-covariance")
 
 
@@ -111,28 +108,18 @@ class LogDetResult:
 
 
 def log_abs_det(matrix):
-    """Partial-pivoting elimination accumulating log |pivot| and the sign."""
-    mat = np.array(matrix, dtype=float, copy=True)
+    """log |det| and its sign by ``np.linalg.slogdet`` (an LU factorization).
+
+    slogdet reports sign 0 when a pivot is exactly zero; that marks the
+    matrix as rank deficient.
+    """
+    mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"need a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    sign = 1
-    acc = 0.0
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(mat[k:, k])))
-        pivot = mat[pivot_row, k]
-        if abs(pivot) < PIVOT_FLOOR:
-            return LogDetResult(-math.inf, 0, True)
-        if pivot_row != k:
-            mat[[k, pivot_row]] = mat[[pivot_row, k]]
-            sign = -sign
-        if pivot < 0.0:
-            sign = -sign
-        acc += math.log(abs(pivot))
-        if k + 1 < n:
-            factors = mat[k + 1 :, k] / pivot
-            mat[k + 1 :, k + 1 :] -= np.outer(factors, mat[k, k + 1 :])
-    return LogDetResult(acc, sign, False)
+    sign, value = np.linalg.slogdet(mat)
+    if sign == 0.0:
+        return LogDetResult(-math.inf, 0, True)
+    return LogDetResult(float(value), int(sign), False)
 
 
 def scaling_shift_check(spec, inputs, alpha):
