@@ -99,7 +99,12 @@ def matching_length(ps, pairs):
 
 
 def tsp_exact(ps):
-    """Optimal closed tour by the Held-Karp subset dynamic program."""
+    """Optimal closed tour by the Held-Karp subset dynamic program.
+
+    One vectorized step per (popcount layer, end node j) relaxes every subset
+    in the layer that contains j.  ``np.argmin`` keeps the first minimum, so
+    ties go to the smallest predecessor.
+    """
     n = ps.n
     if n < 3 or n > TSP_EXACT_MAX:
         raise SizeError(
@@ -115,19 +120,17 @@ def tsp_exact(ps):
     parent = np.full((full, m), -1, dtype=np.int16)
     for j in range(m):
         dp[1 << j, j] = first_leg[j]
-    for mask in range(1, full):
-        if mask & (mask - 1) == 0:
-            continue  # singletons were seeded above
-        bits = mask
-        while bits:
-            low = bits & -bits
-            j = low.bit_length() - 1
-            bits ^= low
-            prev = mask ^ (1 << j)
-            cand = dp[prev] + sub[:, j]
-            k = int(np.argmin(cand))
-            dp[mask, j] = cand[k]
-            parent[mask, j] = k
+    masks = np.arange(full)
+    members = (masks[:, None] >> np.arange(m)) & 1
+    popcount = members.sum(axis=1)
+    for size in range(2, m + 1):  # singletons were seeded above
+        layer = masks[popcount == size]
+        for j in range(m):
+            sel = layer[members[layer, j] == 1]
+            cand = dp[sel ^ (1 << j)] + sub[:, j]
+            k = np.argmin(cand, axis=1)
+            dp[sel, j] = cand[np.arange(sel.size), k]
+            parent[sel, j] = k
     closing = dp[full - 1] + first_leg
     last = int(np.argmin(closing))
     order = [last + 1]

@@ -2,8 +2,9 @@
 
 The Hamiltonian is the pairwise mean-field form n^(-1/2) sum_{i<j} g_ij s_i s_j
 with no external field.  All thermodynamic quantities come from exact
-enumeration of the 2^n spin configurations, done with a Gray-code sweep that
-updates the energy in O(n) work per configuration.  Dividing every coupling by
+enumeration of the 2^n spin configurations, done by a meet-in-the-middle split:
+each half of the spins is enumerated on its own and the cross term joining the
+halves is one matrix product.  Dividing every coupling by
 (1 - alpha/n) scales all energies, the free energy gap obeys a Jensen lower
 bound, and the ground state scales exactly.
 """
@@ -19,9 +20,6 @@ from scipy.special import logsumexp
 from .errors import DomainError, ShapeError, SizeError
 
 MAX_SPINS = 20
-#: recompute the running energy and local fields every this many flips to
-#: stop floating-point drift from accumulating across the sweep
-_REFRESH_INTERVAL = 256
 
 
 @dataclass(frozen=True)
@@ -79,11 +77,13 @@ def hamiltonian(dis, spins):
 
 
 def enumerate_energies(dis):
-    """Energies of all 2^n configurations via a Gray-code single-flip sweep.
+    """Energies of all 2^n configurations by a meet-in-the-middle split.
 
     Entry ``E[b]`` is the energy of the configuration whose spin j is -1
-    exactly when bit j of b is set.  Each Gray-code step flips one spin and
-    updates the energy from the local field in O(n).
+    exactly when bit j of b is set.  The low n // 2 spins and the high spins
+    are enumerated separately and joined by one matrix product for the cross
+    term.  The high spins index the rows of the joined table, so its ravel
+    keeps that bit order; it is built in place, in 8 * 2^n bytes.
     """
     n = dis.n
     if n < 2:
@@ -91,32 +91,35 @@ def enumerate_energies(dis):
     if n > MAX_SPINS:
         raise SizeError(f"exact enumeration capped at {MAX_SPINS} spins, got {n}")
     mat = dis.coupling_matrix()
-    rows = [np.ascontiguousarray(mat[k]) for k in range(n)]
-    sigma = np.ones(n)
-    fields = mat @ sigma
-    energy = 0.5 * float(sigma @ fields)
-    energies = np.empty(1 << n)
-    energies[0] = energy
-    code = 0
-    for step in range(1, 1 << n):
-        k = (step & -step).bit_length() - 1
-        s_old = sigma[k]
-        energy -= 2.0 * s_old * fields[k]
-        sigma[k] = -s_old
-        fields -= (2.0 * s_old) * rows[k]
-        code ^= 1 << k
-        if step % _REFRESH_INTERVAL == 0:
-            fields = mat @ sigma
-            energy = 0.5 * float(sigma @ fields)
-        energies[code] = energy
-    return energies / math.sqrt(n)
+    h = n // 2
+    s_lo, s_hi = _spin_table(h), _spin_table(n - h)
+    e_lo = 0.5 * np.einsum("ci,ij,cj->c", s_lo, mat[:h, :h], s_lo)
+    e_hi = 0.5 * np.einsum("ci,ij,cj->c", s_hi, mat[h:, h:], s_hi)
+    table = s_hi @ (mat[h:, :h] @ s_lo.T)
+    table += e_hi[:, None]
+    table += e_lo[None, :]
+    table /= math.sqrt(n)
+    return table.ravel()
+
+
+def _spin_table(k):
+    """All 2^k configurations of k spins, row c having spin j = -1 on bit j of c."""
+    codes = np.arange(1 << k)[:, None]
+    return 1.0 - 2.0 * ((codes >> np.arange(k)) & 1)
 
 
 def result_from_energies(energies, beta):
-    """Thermodynamics from a precomputed energy table."""
+    """Thermodynamics from a non-empty 1-D table of finite energies."""
     beta = float(beta)
     if beta < 0.0:
         raise DomainError(f"inverse temperature must be nonnegative, got {beta}")
+    energies = np.asarray(energies, dtype=float)
+    if energies.ndim != 1 or energies.size == 0:
+        raise ShapeError(
+            f"energy table must be a non-empty 1-D array, got shape {energies.shape}"
+        )
+    if not np.all(np.isfinite(energies)):
+        raise DomainError("energy table must be finite")
     free = float(logsumexp(beta * energies))
     shifted = beta * energies - np.max(beta * energies)
     weights = np.exp(shifted)
@@ -130,9 +133,16 @@ def result_from_energies(energies, beta):
     )
 
 
+def _check_table_length(energies, n):
+    if np.shape(energies) != (1 << n,):
+        raise ShapeError(
+            f"need 2^{n} = {1 << n} energies, got shape {np.shape(energies)}"
+        )
+
+
 def free_energy(dis, beta):
     """Exact log partition sum over all configurations, with Gibbs average
-    energy and ground state from the same sweep."""
+    energy and ground state from the same energy table."""
     return result_from_energies(enumerate_energies(dis), beta)
 
 
@@ -156,12 +166,14 @@ def jensen_gap_check(dis, alpha, beta, energies=None, scaled_energies=None):
 
     Returns (lhs, rhs, holds) where lhs is the scaled-minus-base free energy
     difference and rhs = beta * alpha * <H>_beta / (n (1 - alpha/n)).
-    Precomputed energy tables may be passed to amortize sweeps.
+    Precomputed energy tables of length 2^n may be passed to save enumerations.
     """
     if energies is None:
         energies = enumerate_energies(dis)
     if scaled_energies is None:
         scaled_energies = enumerate_energies(scale_disorder(dis, alpha))
+    _check_table_length(energies, dis.n)
+    _check_table_length(scaled_energies, dis.n)
     base = result_from_energies(energies, beta)
     scaled = result_from_energies(scaled_energies, beta)
     lhs = scaled.free_energy - base.free_energy
@@ -181,6 +193,7 @@ def derivative_check(dis, beta, step=1e-4, energies=None):
         raise DomainError("derivative check needs beta > 0")
     if energies is None:
         energies = enumerate_energies(dis)
+    _check_table_length(energies, dis.n)
     up = float(logsumexp((beta + step) * energies))
     down = float(logsumexp((beta - step) * energies))
     fd = (up - down) / (2.0 * step)

@@ -1,9 +1,11 @@
 """Pure-Python reference solvers, kept only to cross-check the library kernels.
 
 Each routine is the loop that ``flucert`` used before its solver became a
-SciPy/NumPy call: the potential-based Hungarian method, a heap Dijkstra with
-smallest-index tie breaking, and a partial-pivoting LU log-determinant.  They
-take the same inputs as the ``flucert`` solvers and return plain values.
+SciPy/NumPy call or a vectorized kernel: the potential-based Hungarian method,
+a heap Dijkstra with smallest-index tie breaking, a partial-pivoting LU
+log-determinant, a Gray-code sweep over spin configurations and a per-mask
+Held-Karp loop.  They take the same inputs as the ``flucert`` solvers and
+return plain values.
 """
 
 import heapq
@@ -13,6 +15,9 @@ import numpy as np
 
 #: pivots below this magnitude mark the matrix as rank deficient
 PIVOT_FLOOR = 1e-300
+#: recompute the running energy and local fields every this many flips to
+#: stop floating-point drift from accumulating across the sweep
+REFRESH_INTERVAL = 256
 
 
 def hungarian_loop(costs):
@@ -136,3 +141,80 @@ def lu_log_abs_det(matrix):
             factors = mat[k + 1 :, k] / pivot
             mat[k + 1 :, k + 1 :] -= np.outer(factors, mat[k, k + 1 :])
     return acc, sign
+
+
+def gray_code_energies(dis):
+    """Energies of all 2^n configurations of an ``SKDisorder`` by single flips.
+
+    Entry ``E[b]`` is the energy of the configuration whose spin j is -1
+    exactly when bit j of b is set.  Each Gray-code step flips one spin and
+    updates the energy from the local field in O(n).
+    """
+    n = dis.n
+    mat = dis.coupling_matrix()
+    rows = [np.ascontiguousarray(mat[k]) for k in range(n)]
+    sigma = np.ones(n)
+    fields = mat @ sigma
+    energy = 0.5 * float(sigma @ fields)
+    energies = np.empty(1 << n)
+    energies[0] = energy
+    code = 0
+    for step in range(1, 1 << n):
+        k = (step & -step).bit_length() - 1
+        s_old = sigma[k]
+        energy -= 2.0 * s_old * fields[k]
+        sigma[k] = -s_old
+        fields -= (2.0 * s_old) * rows[k]
+        code ^= 1 << k
+        if step % REFRESH_INTERVAL == 0:
+            fields = mat @ sigma
+            energy = 0.5 * float(sigma @ fields)
+        energies[code] = energy
+    return energies / math.sqrt(n)
+
+
+def held_karp_loop(ps):
+    """Optimal closed tour of a ``PointSet`` by Held-Karp, one mask at a time.
+
+    Tours start at node 0; ties between equal-cost predecessors go to the
+    smaller node.  Returns (tour length, tour order).
+    """
+    pts = ps.points
+    n = pts.shape[0]
+    dist = np.sqrt(np.square(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
+    m = n - 1  # nodes 1..n-1, anchored at node 0
+    sub = dist[1:, 1:]
+    first_leg = dist[0, 1:]
+    full = 1 << m
+    dp = np.full((full, m), np.inf)
+    parent = np.full((full, m), -1, dtype=np.int16)
+    for j in range(m):
+        dp[1 << j, j] = first_leg[j]
+    for mask in range(1, full):
+        if mask & (mask - 1) == 0:
+            continue  # singletons were seeded above
+        bits = mask
+        while bits:
+            low = bits & -bits
+            j = low.bit_length() - 1
+            bits ^= low
+            prev = mask ^ (1 << j)
+            cand = dp[prev] + sub[:, j]
+            k = int(np.argmin(cand))
+            dp[mask, j] = cand[k]
+            parent[mask, j] = k
+    closing = dp[full - 1] + first_leg
+    last = int(np.argmin(closing))
+    order = [last + 1]
+    mask = full - 1
+    j = last
+    while parent[mask, j] >= 0:
+        k = int(parent[mask, j])
+        mask ^= 1 << j
+        order.append(k + 1)
+        j = k
+    order.append(0)
+    order.reverse()
+    tour = pts[order]
+    seg = tour - np.roll(tour, -1, axis=0)
+    return float(np.sqrt(np.square(seg).sum(axis=1)).sum()), tuple(order)

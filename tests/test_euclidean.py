@@ -14,6 +14,7 @@ from flucert.errors import (
     SizeError,
 )
 from flucert.euclidean import (
+    TSP_EXACT_MAX,
     FunctionalValue,
     PointSet,
     distance_matrix,
@@ -31,6 +32,7 @@ from flucert.euclidean import (
     tsp_exact,
 )
 from flucert.rng import seed_stream
+from oracles import held_karp_loop
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -112,6 +114,26 @@ class TestTspExact:
             tsp_exact(random_points(2, 0))
         with pytest.raises(SizeError):
             tsp_exact(random_points(16, 0))
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_matches_held_karp_loop(self, n):
+        for seed in range(3):
+            ps = random_points(n, 700 + 10 * n + seed)
+            res = tsp_exact(ps)
+            assert (res.value, res.witness) == held_karp_loop(ps)
+
+    def test_matches_held_karp_loop_on_ties(self):
+        # a lattice has many equal-length partial tours, so the tie rule shows
+        for side in (2, 3):
+            grid = np.indices((side, side + 1)).reshape(2, -1).T.astype(float)
+            ps = PointSet(2, grid)
+            res = tsp_exact(ps)
+            assert (res.value, res.witness) == held_karp_loop(ps)
+
+    def test_matches_held_karp_loop_at_cap(self):
+        ps = random_points(TSP_EXACT_MAX, 799)
+        res = tsp_exact(ps)
+        assert (res.value, res.witness) == held_karp_loop(ps)
 
 
 class TestTsp2opt:

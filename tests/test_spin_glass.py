@@ -8,6 +8,7 @@ import pytest
 from flucert.errors import DomainError, ShapeError, SizeError
 from flucert.rng import seed_stream
 from flucert.spin_glass import (
+    MAX_SPINS,
     SKDisorder,
     derivative_check,
     disorder_scale_eps,
@@ -18,6 +19,7 @@ from flucert.spin_glass import (
     result_from_energies,
     scale_disorder,
 )
+from oracles import gray_code_energies
 
 
 def random_disorder(n, seed):
@@ -92,6 +94,35 @@ class TestEnumeration:
         with pytest.raises(SizeError):
             enumerate_energies(random_disorder(21, 0))
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matches_oracles(self, n):
+        # odd n and n = 2, 3 give unequal halves and a one-spin low half
+        for seed in (0, 1):
+            dis = random_disorder(n, 1000 + 10 * n + seed)
+            energies = enumerate_energies(dis)
+            np.testing.assert_allclose(
+                energies, naive_energies(dis), rtol=0, atol=1e-10
+            )
+            np.testing.assert_allclose(
+                energies, gray_code_energies(dis), rtol=0, atol=1e-10
+            )
+
+    def test_spot_check_at_max_spins(self):
+        # the einsum oracle would need 160 MiB at this size
+        n = MAX_SPINS
+        dis = random_disorder(n, 1200)
+        energies = enumerate_energies(dis)
+        assert energies.shape == (1 << n,)
+        for b in seed_stream(1201).integers(0, 1 << n, size=256):
+            spins = 1.0 - 2.0 * ((int(b) >> np.arange(n)) & 1)
+            assert energies[b] == pytest.approx(hamiltonian(dis, spins), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_global_flip_symmetry(self, n):
+        energies = enumerate_energies(random_disorder(n, 1300 + n))
+        # b ^ (2^n - 1) = 2^n - 1 - b, so flipping every spin reverses the table
+        np.testing.assert_allclose(energies, energies[::-1], rtol=0, atol=1e-12)
+
 
 class TestFreeEnergy:
     def test_infinite_temperature(self):
@@ -144,6 +175,31 @@ class TestFreeEnergy:
         b = free_energy(relabeled, 1.2)
         assert a.free_energy == pytest.approx(b.free_energy, abs=1e-10)
         assert a.ground_state == pytest.approx(b.ground_state, abs=1e-10)
+
+
+class TestEnergyTableChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            result_from_energies(np.array([0.0, bad, 1.0, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("table", [np.array([]), np.zeros((2, 2)), 1.0])
+    def test_not_a_non_empty_vector_rejected(self, table):
+        with pytest.raises(ShapeError):
+            result_from_energies(table, 1.0)
+
+    def test_jensen_table_length(self):
+        dis = random_disorder(5, 1400)
+        energies = enumerate_energies(dis)
+        with pytest.raises(ShapeError):
+            jensen_gap_check(dis, 0.5, 1.0, energies=energies[:-1])
+        with pytest.raises(ShapeError):
+            jensen_gap_check(dis, 0.5, 1.0, scaled_energies=np.r_[energies, 0.0])
+
+    def test_derivative_table_length(self):
+        dis = random_disorder(5, 1401)
+        with pytest.raises(ShapeError):
+            derivative_check(dis, 1.0, energies=enumerate_energies(dis)[:16])
 
 
 class TestScaling:
