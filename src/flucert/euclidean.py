@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -98,12 +99,59 @@ def matching_length(ps, pairs):
     return total
 
 
+def _subsets(k):
+    """Every k-bit mask with its popcount and its run of trailing ones.
+
+    One pass per bit keeps the temporaries at the size of one mask array.
+    """
+    masks = np.arange(1 << k)
+    popcount = np.zeros_like(masks)
+    trailing = np.zeros_like(masks)
+    run = np.ones_like(masks)
+    for bit in range(k):
+        member = (masks >> bit) & 1
+        popcount += member
+        run &= member
+        trailing += run
+    return masks, popcount, trailing
+
+
+def _frozen(*tables):
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _held_karp_layers(m):
+    """Index tables of the Held-Karp layers over m nodes, one per popcount.
+
+    Layer s (s = 2..m) lists every pair (mask, j) with |mask| = s and j in
+    mask as three frozen index arrays: the flat slot ``mask * m + j`` of the
+    (2^m, m) table, the predecessor ``mask ^ (1 << j)`` and the end node j.
+    They depend on m alone; the size checks in ``tsp_exact`` bound the cache
+    to TSP_EXACT_MAX - 2 entries.
+    """
+    masks, popcount, _ = _subsets(m)
+    layers = []
+    for size in range(2, m + 1):  # singletons are seeded by the caller
+        layer = masks[popcount == size]
+        row, end = np.nonzero((layer[:, None] >> np.arange(m)) & 1)
+        mask = layer[row]
+        layers.append(_frozen(mask * m + end, mask ^ (1 << end), end))
+    return tuple(layers)
+
+
 def tsp_exact(ps):
     """Optimal closed tour by the Held-Karp subset dynamic program.
 
-    One vectorized step per (popcount layer, end node j) relaxes every subset
-    in the layer that contains j.  ``np.argmin`` keeps the first minimum, so
-    ties go to the smallest predecessor.
+    Tours start at node 0.  One vectorized step per popcount layer relaxes
+    every (subset, end node j) pair of the layer at once: the candidates are
+    dp[subset minus j] + dist[., j] and ``np.argmin`` keeps the first
+    minimum, so ties go to the smallest predecessor node.  The index tables
+    of each layer depend only on n; they are built on the first call for
+    that n and cached, frozen, for later calls (about 2.6 MiB at n =
+    TSP_EXACT_MAX = 15).
     """
     n = ps.n
     if n < 3 or n > TSP_EXACT_MAX:
@@ -113,24 +161,20 @@ def tsp_exact(ps):
         )
     dist = distance_matrix(ps)
     m = n - 1  # nodes 1..n-1, anchored at node 0
-    sub = dist[1:, 1:]
+    sub_t = dist[1:, 1:].T
     first_leg = dist[0, 1:]
     full = 1 << m
     dp = np.full((full, m), np.inf)
     parent = np.full((full, m), -1, dtype=np.int16)
-    for j in range(m):
-        dp[1 << j, j] = first_leg[j]
-    masks = np.arange(full)
-    members = (masks[:, None] >> np.arange(m)) & 1
-    popcount = members.sum(axis=1)
-    for size in range(2, m + 1):  # singletons were seeded above
-        layer = masks[popcount == size]
-        for j in range(m):
-            sel = layer[members[layer, j] == 1]
-            cand = dp[sel ^ (1 << j)] + sub[:, j]
-            k = np.argmin(cand, axis=1)
-            dp[sel, j] = cand[np.arange(sel.size), k]
-            parent[sel, j] = k
+    nodes = np.arange(m)
+    dp[1 << nodes, nodes] = first_leg
+    flat_dp = dp.reshape(-1)
+    flat_parent = parent.reshape(-1)
+    for slot, prev, end in _held_karp_layers(m):
+        cand = dp[prev] + sub_t[end]
+        k = np.argmin(cand, axis=1)
+        flat_dp[slot] = cand[np.arange(k.size), k]
+        flat_parent[slot] = k
     closing = dp[full - 1] + first_leg
     last = int(np.argmin(closing))
     order = [last + 1]
@@ -202,46 +246,83 @@ def tsp_2opt(ps, rng, restarts=20):
     return FunctionalValue("tsp-2opt", best_value, tuple(int(v) for v in best_order))
 
 
+@lru_cache(maxsize=None)
+def _matching_layers(n):
+    """Index tables of the matching DP over n points, one per popcount 2L.
+
+    The DP always pairs the lowest unmatched point, so the only subsets it
+    reaches are those whose run of trailing ones t is at least half their
+    size, and the last pair (i, j) added to such a subset has i < t and j > i
+    in it.  Layer L lists the reached subsets of size 2L and, per subset, a
+    row of candidate (predecessor subset, flat index i * n + j of the pair
+    distance) sorted by predecessor.  Candidates whose predecessor is never
+    reached are left out; rows are padded to the layer's widest with the
+    sentinel predecessor 2^n, whose dp slot holds +inf.  The arrays are
+    frozen; the size checks in ``matching_exact`` bound the cache to
+    MATCHING_MAX // 2 entries.
+    """
+    full = 1 << n
+    masks, popcount, trailing = _subsets(n)
+    # pairs (i, j), i < j, by decreasing j then i: decreasing pair bits, so
+    # increasing predecessor subset
+    second, first = (index[::-1] for index in np.tril_indices(n, -1))
+    bits = (1 << first) | (1 << second)
+    layers = []
+    for half in range(1, n // 2 + 1):
+        reached = (popcount == 2 * half) & (trailing >= half)
+        new = masks[reached]
+        valid = (
+            ((new[:, None] & bits) == bits)
+            & (first < trailing[reached][:, None])
+            & (first >= half - 1)  # the predecessor is reached too
+        )
+        row, col = np.nonzero(valid)
+        at = np.cumsum(valid, axis=1)[row, col] - 1  # keeps the pair order
+        shape = (new.size, int(at.max()) + 1)
+        pred = np.full(shape, full)
+        pred[row, at] = new[row] ^ bits[col]
+        pair = np.zeros(shape, dtype=int)
+        pair[row, at] = first[col] * n + second[col]
+        layers.append(_frozen(new, pred, pair))
+    return tuple(layers)
+
+
 def matching_exact(ps):
-    """Minimum-weight perfect matching by bitmask dynamic programming."""
+    """Minimum-weight perfect matching by bitmask dynamic programming.
+
+    Every step pairs the lowest unmatched point.  One vectorized step per
+    popcount layer computes dp[subset] as the minimum over its candidate last
+    pairs of dp[predecessor] + dist[i, j], with the candidates ordered by
+    predecessor subset so that ``np.argmin`` keeps the smallest predecessor
+    among equal costs.  The index tables depend only on n; they are built on
+    the first call for that n and cached, frozen, for later calls (about
+    0.3 MiB at n = MATCHING_MAX = 16).  The value is recomputed from the
+    witness pairs by ``matching_length``.
+    """
     n = ps.n
     if n % 2 != 0 or n < 2 or n > MATCHING_MAX:
         raise SizeError(
             f"matching_exact supports even 2 <= n <= {MATCHING_MAX}, got {n}"
         )
-    dist = distance_matrix(ps).tolist()
+    pair_dist = distance_matrix(ps).reshape(-1)
     full = 1 << n
-    dp = [math.inf] * full
-    choice = [0] * full
+    dp = np.full(full + 1, np.inf)  # slot 2^n is the padding sentinel
     dp[0] = 0.0
-    for mask in range(full):
-        base = dp[mask]
-        if base == math.inf:
-            continue
-        free = ~mask & (full - 1)
-        if free == 0:
-            continue
-        low = free & -free
-        i = low.bit_length() - 1
-        row = dist[i]
-        rest = free ^ low
-        while rest:
-            jbit = rest & -rest
-            j = jbit.bit_length() - 1
-            rest ^= jbit
-            new = mask | low | jbit
-            cost = base + row[j]
-            if cost < dp[new]:
-                dp[new] = cost
-                choice[new] = low | jbit
+    prev = np.zeros(full, dtype=np.int64)
+    for new, pred, pair in _matching_layers(n):
+        cand = dp[pred] + pair_dist[pair]
+        k = np.argmin(cand, axis=1)
+        rows = np.arange(k.size)
+        dp[new] = cand[rows, k]
+        prev[new] = pred[rows, k]
     pairs = []
     mask = full - 1
     while mask:
-        pair = choice[mask]
-        i = (pair & -pair).bit_length() - 1
-        j = (pair ^ (pair & -pair)).bit_length() - 1
-        pairs.append((i, j))
-        mask ^= pair
+        before = int(prev[mask])
+        pair = mask ^ before
+        low = pair & -pair
+        pairs.append((low.bit_length() - 1, (pair ^ low).bit_length() - 1))
+        mask = before
     pairs.reverse()
     return FunctionalValue(
         "matching-exact", matching_length(ps, pairs), tuple(pairs)

@@ -111,8 +111,10 @@ def _spin_table(k):
 def result_from_energies(energies, beta):
     """Thermodynamics from a non-empty 1-D table of finite energies."""
     beta = float(beta)
-    if beta < 0.0:
-        raise DomainError(f"inverse temperature must be nonnegative, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError(
+            f"inverse temperature must be finite and nonnegative, got {beta}"
+        )
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size == 0:
         raise ShapeError(
@@ -168,6 +170,7 @@ def jensen_gap_check(dis, alpha, beta, energies=None, scaled_energies=None):
     difference and rhs = beta * alpha * <H>_beta / (n (1 - alpha/n)).
     Precomputed energy tables of length 2^n may be passed to save enumerations.
     """
+    disorder_scale_eps(dis.n, alpha)  # validates alpha whichever tables are given
     if energies is None:
         energies = enumerate_energies(dis)
     if scaled_energies is None:
@@ -189,8 +192,11 @@ def jensen_gap_check(dis, alpha, beta, energies=None, scaled_energies=None):
 def derivative_check(dis, beta, step=1e-4, energies=None):
     """Finite-difference derivative of the free energy against <H>_beta."""
     beta = float(beta)
-    if beta <= 0.0:
-        raise DomainError("derivative check needs beta > 0")
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"derivative check needs finite beta > 0, got {beta}")
+    step = float(step)
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"derivative step must be finite and > 0, got {step}")
     if energies is None:
         energies = enumerate_energies(dis)
     _check_table_length(energies, dis.n)

@@ -3,9 +3,9 @@
 Each routine is the loop that ``flucert`` used before its solver became a
 SciPy/NumPy call or a vectorized kernel: the potential-based Hungarian method,
 a heap Dijkstra with smallest-index tie breaking, a partial-pivoting LU
-log-determinant, a Gray-code sweep over spin configurations and a per-mask
-Held-Karp loop.  They take the same inputs as the ``flucert`` solvers and
-return plain values.
+log-determinant, a Gray-code sweep over spin configurations, a per-mask
+Held-Karp loop and a per-mask push loop for the minimum matching.  They take
+the same inputs as the ``flucert`` solvers and return plain values.
 """
 
 import heapq
@@ -218,3 +218,53 @@ def held_karp_loop(ps):
     tour = pts[order]
     seg = tour - np.roll(tour, -1, axis=0)
     return float(np.sqrt(np.square(seg).sum(axis=1)).sum()), tuple(order)
+
+
+def matching_loop(ps):
+    """Minimum-weight perfect matching of a ``PointSet``, one mask at a time.
+
+    Each reachable mask pushes its cost to every mask that pairs its lowest
+    free point; the first strict improvement wins.  Returns (matching
+    length, pairs) with the pairs in the order the matching was built.
+    """
+    pts = ps.points
+    n = pts.shape[0]
+    dist = np.sqrt(np.square(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
+    dist = dist.tolist()
+    full = 1 << n
+    dp = [math.inf] * full
+    choice = [0] * full
+    dp[0] = 0.0
+    for mask in range(full):
+        base = dp[mask]
+        if base == math.inf:
+            continue
+        free = ~mask & (full - 1)
+        if free == 0:
+            continue
+        low = free & -free
+        i = low.bit_length() - 1
+        row = dist[i]
+        rest = free ^ low
+        while rest:
+            jbit = rest & -rest
+            j = jbit.bit_length() - 1
+            rest ^= jbit
+            new = mask | low | jbit
+            cost = base + row[j]
+            if cost < dp[new]:
+                dp[new] = cost
+                choice[new] = low | jbit
+    pairs = []
+    mask = full - 1
+    while mask:
+        pair = choice[mask]
+        i = (pair & -pair).bit_length() - 1
+        j = (pair ^ (pair & -pair)).bit_length() - 1
+        pairs.append((i, j))
+        mask ^= pair
+    pairs.reverse()
+    total = 0.0
+    for i, j in pairs:
+        total += float(np.linalg.norm(pts[i] - pts[j]))
+    return total, tuple(pairs)

@@ -14,6 +14,7 @@ from flucert.errors import (
     SizeError,
 )
 from flucert.euclidean import (
+    MATCHING_MAX,
     TSP_EXACT_MAX,
     FunctionalValue,
     PointSet,
@@ -30,9 +31,11 @@ from flucert.euclidean import (
     tour_length,
     tsp_2opt,
     tsp_exact,
+    _held_karp_layers,
+    _matching_layers,
 )
 from flucert.rng import seed_stream
-from oracles import held_karp_loop
+from oracles import held_karp_loop, matching_loop
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -136,6 +139,25 @@ class TestTspExact:
         assert (res.value, res.witness) == held_karp_loop(ps)
 
 
+@pytest.mark.parametrize(
+    "solver, layers, n, key",
+    [
+        (tsp_exact, _held_karp_layers, 9, 8),
+        (matching_exact, _matching_layers, 10, 10),
+    ],
+)
+def test_layer_tables_are_frozen_and_shared(solver, layers, n, key):
+    solver(random_points(n, 1900))
+    tables = layers(key)
+    before = [[t.copy() for t in layer] for layer in tables]
+    solver(random_points(n, 1901))
+    assert layers(key) is tables
+    for layer, saved in zip(tables, before):
+        for table, copy in zip(layer, saved):
+            assert not table.flags.writeable
+            np.testing.assert_array_equal(table, copy)
+
+
 class TestTsp2opt:
     def test_convex_position_recovers_hull(self):
         # regular octagon: 2-opt always lands on the hull perimeter
@@ -186,6 +208,26 @@ class TestMatching:
     def test_odd_rejected(self):
         with pytest.raises(SizeError):
             matching_exact(random_points(7, 0))
+
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_matches_matching_loop(self, n):
+        for seed in range(4):
+            ps = random_points(n, 1700 + 10 * n + seed)
+            res = matching_exact(ps)
+            assert (res.value, res.witness) == matching_loop(ps)
+
+    def test_matches_matching_loop_on_ties(self):
+        # a lattice has many equal-length pairings, so the tie rule shows
+        for width in (4, 6):
+            grid = np.indices((2, width)).reshape(2, -1).T.astype(float)
+            ps = PointSet(2, grid)
+            res = matching_exact(ps)
+            assert (res.value, res.witness) == matching_loop(ps)
+
+    def test_matches_matching_loop_at_cap(self):
+        ps = random_points(MATCHING_MAX, 1799)
+        res = matching_exact(ps)
+        assert (res.value, res.witness) == matching_loop(ps)
 
 
 class TestNnSum:

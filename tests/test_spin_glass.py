@@ -202,6 +202,33 @@ class TestEnergyTableChecks:
             derivative_check(dis, 1.0, energies=enumerate_energies(dis)[:16])
 
 
+class TestParameterChecks:
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -1.0])
+    def test_free_energy_needs_finite_nonnegative_beta(self, beta):
+        with pytest.raises(DomainError):
+            free_energy(random_disorder(6, 1402), beta)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, 0.0])
+    def test_derivative_needs_finite_positive_beta(self, beta):
+        with pytest.raises(DomainError):
+            derivative_check(random_disorder(6, 1403), beta)
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1e-4])
+    def test_derivative_needs_finite_positive_step(self, step):
+        with pytest.raises(DomainError):
+            derivative_check(random_disorder(6, 1404), 1.0, step=step)
+
+    def test_jensen_alpha_checked_with_or_without_tables(self):
+        dis = random_disorder(6, 1405)
+        energies = enumerate_energies(dis)
+        with pytest.raises(DomainError):
+            jensen_gap_check(dis, 10.0, 1.0)
+        with pytest.raises(DomainError):
+            jensen_gap_check(
+                dis, 10.0, 1.0, energies=energies, scaled_energies=energies
+            )
+
+
 class TestScaling:
     def test_identity_at_zero(self):
         dis = random_disorder(6, 14)
