@@ -117,7 +117,9 @@ def bernoulli_mixing_coupling(n, alpha, rng):
     Each X'_i equals X_i with probability 1 - eps and is forced to 1 with
     probability eps, where eps = alpha / sqrt(n).  The marginal of X' is then
     i.i.d. Bernoulli((1+eps)/2), and X'_i = X_i + 1 exactly when the forcing
-    fires on a zero coordinate, which has probability eps / 2.
+    fires on a zero coordinate, which has probability eps / 2.  One draw of
+    2n uniforms gives the coin flips (first half) and the forcing events
+    (second half); both vectors are int8.
     """
     n = int(n)
     if n < 1:
@@ -125,10 +127,9 @@ def bernoulli_mixing_coupling(n, alpha, rng):
     eps = float(alpha) / math.sqrt(n)
     if eps < 0.0 or eps >= 1.0:
         raise DomainError(f"alpha / sqrt(n) = {eps} must lie in [0, 1)")
-    base = uniform_open(rng, n)
-    force = uniform_open(rng, n)
-    x = (base < 0.5).astype(np.int8)
-    x_prime = np.where(force < eps, np.int8(1), x)
+    u = uniform_open(rng, 2 * n)
+    x = (u[:n] < 0.5).view(np.int8)
+    x_prime = x | (u[n:] < eps)
     return x, x_prime
 
 

@@ -36,10 +36,14 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 class Density1D:
     """A probability density exp(-potential) on the line or half line.
 
-    ``potential_d1`` and ``potential_d2`` are the first and second
-    derivatives of the potential; ``ppf`` is the inverse CDF backing the
-    deterministic sampler.  ``domain_scale`` widens the quadrature window
-    for half-line densities with a longer natural length scale.
+    ``potential`` and its first and second derivatives ``potential_d1`` and
+    ``potential_d2`` take a float or a float array and return the same kind:
+    the quadrature integrands call ``potential`` on plain floats, ``pdf`` and
+    the tests on arrays.  The built-in potentials are plain arithmetic, which
+    gives the same IEEE results on both and avoids NumPy-scalar dispatch in
+    the integrands.  ``ppf`` is the inverse CDF backing the deterministic
+    sampler.  ``domain_scale`` widens the quadrature window for half-line
+    densities with a longer natural length scale.
     """
 
     name: str
@@ -88,7 +92,7 @@ def _std_gaussian():
     return Density1D(
         name="std-gaussian",
         support=FULL_LINE,
-        potential=lambda x: 0.5 * np.square(x) + _HALF_LOG_2PI,
+        potential=lambda x: 0.5 * (x * x) + _HALF_LOG_2PI,
         potential_d1=lambda x: np.asarray(x, dtype=float),
         potential_d2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         ppf=ndtri,
@@ -99,7 +103,7 @@ def _exponential_rate_1():
     return Density1D(
         name="exponential-rate-1",
         support=HALF_LINE,
-        potential=lambda x: np.asarray(x, dtype=float),
+        potential=lambda x: x + 0.0,
         potential_d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         potential_d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         ppf=lambda u: -np.log1p(-np.asarray(u, dtype=float)),
@@ -114,7 +118,7 @@ def _half_gaussian():
     return Density1D(
         name="half-gaussian",
         support=HALF_LINE,
-        potential=lambda x: 0.5 * np.square(x) + _HALF_GAUSS_CONST,
+        potential=lambda x: 0.5 * (x * x) + _HALF_GAUSS_CONST,
         potential_d1=lambda x: np.asarray(x, dtype=float),
         potential_d2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         ppf=lambda u: ndtri(0.5 * (1.0 + np.asarray(u, dtype=float))),

@@ -11,6 +11,7 @@ point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,8 +46,19 @@ class PointSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ShapeError(f"points must be (n, {self.dim}), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("all coordinates must be finite")
+        if pts.shape[0]:
+            # bounds every squared distance between two points; it is not
+            # finite either when a coordinate is not
+            spread = sum(
+                (hi - lo) * (hi - lo)
+                for hi, lo in zip(pts.max(axis=0).tolist(), pts.min(axis=0).tolist())
+            )
+            if not math.isfinite(spread):
+                if not np.all(np.isfinite(pts)):
+                    raise DomainError("all coordinates must be finite")
+                raise DomainError(
+                    "squared coordinate differences overflow; rescale the points"
+                )
         object.__setattr__(self, "points", pts)
 
     @property
@@ -330,12 +342,19 @@ def matching_exact(ps):
 
 
 def nn_sum(ps):
-    """Sum over points of the distance to the nearest other point."""
+    """Sum over points of the distance to the nearest other point.
+
+    A k-d tree query for the two nearest points of each point returns the
+    point itself at distance 0 and then its nearest other point (at distance
+    0 too for a duplicate).  The tree squares and sums the coordinate
+    differences as ``distance_matrix`` does, so the sum is the same as the
+    minimum over each row of the dense matrix, in O(n log n) time and O(n)
+    memory.
+    """
     if ps.n < 2:
         raise SizeError(f"nn_sum needs n >= 2, got {ps.n}")
-    dist = distance_matrix(ps)
-    np.fill_diagonal(dist, np.inf)
-    return FunctionalValue("nn-sum", float(dist.min(axis=1).sum()), None)
+    dist = cKDTree(ps.points).query(ps.points, k=2)[0]
+    return FunctionalValue("nn-sum", float(dist[:, 1].sum()), None)
 
 
 def evaluate_functional(ps, kind, rng_factory=None, restarts=20):
@@ -444,7 +463,11 @@ def rhee_coupling_sample(
     The first m = n//2 points are shared.  D is the set of square points
     within alpha * n^(-1/2) of those m points; each later point is replaced,
     with probability beta * n^(-1/2), by a uniform draw from D obtained by
-    rejection sampling.
+    rejection sampling.  The tree queries stop searching just beyond the
+    radius (a point farther out comes back at distance inf); the tree
+    compares squared distances, so the cut-off carries a relative margin of
+    1e-9 and the ``<= radius`` test on the returned distance alone decides
+    membership in D.
     """
     n = int(n)
     if n < 8:
@@ -455,14 +478,24 @@ def rhee_coupling_sample(
     theta = float(beta) / math.sqrt(n)
     if not 0.0 <= theta < 1.0:
         raise DomainError(f"beta n^-1/2 = {theta} must lie in [0, 1)")
+    if (
+        isinstance(probes, bool)
+        or not isinstance(probes, numbers.Integral)
+        or probes < 1
+    ):
+        raise DomainError(f"probes must be a positive integer, got {probes!r}")
+    probes = int(probes)
+    if not max_rejection >= 1:
+        raise DomainError(f"max_rejection must be at least 1, got {max_rejection}")
     m = n // 2
     radius = alpha * n ** (-1.0 / 2.0)  # alpha * n^(-1/d) with d = 2
+    cutoff = radius * (1.0 + 1e-9)
 
     x = uniform_open(rng, (n, 2))
     tree = cKDTree(x[:m])
 
-    probe_pts = uniform_open(rng, (int(probes), 2))
-    hit = tree.query(probe_pts, k=1)[0] <= radius
+    probe_pts = uniform_open(rng, (probes, 2))
+    hit = tree.query(probe_pts, k=1, distance_upper_bound=cutoff)[0] <= radius
     vol_hat = float(hit.mean())
     vol_sigma = math.sqrt(max(vol_hat * (1.0 - vol_hat), 1e-12) / probes)
     if vol_hat <= 0.0:
@@ -480,7 +513,7 @@ def rhee_coupling_sample(
         y = None
         while y is None:
             cand = uniform_open(rng, (batch, 2))
-            ok = tree.query(cand, k=1)[0] <= radius
+            ok = tree.query(cand, k=1, distance_upper_bound=cutoff)[0] <= radius
             attempts += batch
             if ok.any():
                 y = cand[int(np.argmax(ok))]
@@ -498,7 +531,7 @@ def rhee_coupling_sample(
         resample_indices=tuple(resampled),
         vol_D_estimate=vol_hat,
         vol_D_sigma=vol_sigma,
-        probes=int(probes),
+        probes=probes,
         exact_affinity_per_coordinate=rhee_mixture_affinity(vol_hat, theta),
     )
     return PointSet(2, x), PointSet(2, x_prime), coupling

@@ -275,12 +275,12 @@ def schedule_tv_bound(sched, density):
     """Perturbation plan and TV bound for a whole schedule.
 
     The per-edge affinity depends only on eps_e, so quadrature runs once per
-    distinct value and the product is assembled over all edges.
+    distinct value and the inverse index of ``np.unique`` spreads the values
+    over all edges.
     """
     eps = sched.flat_values()
-    unique = np.unique(eps)
-    rho_of = {float(e): scaled_affinity(density, float(e)).rho for e in unique}
-    rhos = np.array([rho_of[float(e)] for e in eps])
+    unique, edge_of = np.unique(eps, return_inverse=True)
+    rhos = np.array([scaled_affinity(density, float(e)).rho for e in unique])[edge_of]
     plan = PerturbationPlan("edge-graded", eps, rhos)
     return plan, product_tv_bound(plan)
 

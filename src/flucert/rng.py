@@ -12,7 +12,11 @@ def seed_stream(seed, replicate=0, coordinate=0):
 
     Streams for distinct (replicate, coordinate) pairs are statistically
     independent, and the same triple always reproduces the same draws
-    bit-exactly.  Replicate and coordinate indices must fit in 32 bits.
+    bit-exactly.  Replicate and coordinate indices must fit in 32 bits.  The
+    128-bit Philox key is the uint64 pair (seed, replicate << 32 | coordinate),
+    passed as an array: NumPy converts a tuple key through float64 when one
+    word is at least 2**63 and the other is not, which merged distinct keys.
+    Every call builds a fresh bit generator, so streams share no state.
     """
     seed = int(seed)
     replicate = int(replicate)
@@ -23,7 +27,7 @@ def seed_stream(seed, replicate=0, coordinate=0):
         raise DomainError(f"replicate index must be below 2**32, got {replicate}")
     if not 0 <= coordinate < _MAX_INDEX:
         raise DomainError(f"coordinate index must be below 2**32, got {coordinate}")
-    key = (seed, (replicate << 32) | coordinate)
+    key = np.array((seed, (replicate << 32) | coordinate), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

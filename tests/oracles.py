@@ -6,12 +6,19 @@ a heap Dijkstra with smallest-index tie breaking, a partial-pivoting LU
 log-determinant, a Gray-code sweep over spin configurations, a per-mask
 Held-Karp loop and a per-mask push loop for the minimum matching.  They take
 the same inputs as the ``flucert`` solvers and return plain values.
+
+The second half keeps the earlier forms of the per-replicate hot paths, which
+the current ones must match bit for bit: the dense nearest-neighbor sum, the
+resampling sampler with unbounded tree queries, the two-draw Bernoulli
+coupling, the per-edge dict lookup of the schedule affinities and the NumPy
+forms of the built-in potentials.
 """
 
 import heapq
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 #: pivots below this magnitude mark the matrix as rank deficient
 PIVOT_FLOOR = 1e-300
@@ -268,3 +275,65 @@ def matching_loop(ps):
     for i, j in pairs:
         total += float(np.linalg.norm(pts[i] - pts[j]))
     return total, tuple(pairs)
+
+
+def dense_nn_sum(ps):
+    """Nearest-neighbor sum of a ``PointSet`` from the dense distance matrix."""
+    pts = ps.points
+    dist = np.sqrt(np.square(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min(axis=1).sum())
+
+
+def rhee_sample_unbounded(n, alpha, beta, rng, probes):
+    """The resampling coupling draw with unbounded nearest-neighbor queries.
+
+    Takes a valid (n, alpha, beta, probes) and the stream of
+    ``rhee_coupling_sample``.  Returns (x, x_prime, resampled indices,
+    volume estimate).
+    """
+    theta = beta / math.sqrt(n)
+    m = n // 2
+    radius = alpha * n ** (-1.0 / 2.0)
+    x = rng.random((n, 2)) + 2.0**-54
+    tree = cKDTree(x[:m])
+    probe_pts = rng.random((probes, 2)) + 2.0**-54
+    vol_hat = float((tree.query(probe_pts, k=1)[0] <= radius).mean())
+    resampled = []
+    x_prime = x.copy()
+    for i in range(m, n):
+        if rng.random() + 2.0**-54 >= theta:
+            continue
+        y = None
+        while y is None:
+            cand = rng.random((256, 2)) + 2.0**-54
+            ok = tree.query(cand, k=1)[0] <= radius
+            if ok.any():
+                y = cand[int(np.argmax(ok))]
+        x_prime[i] = y
+        resampled.append(i)
+    return x, x_prime, tuple(resampled), vol_hat
+
+
+def bernoulli_two_draws(n, alpha, rng):
+    """The Bernoulli mixing coupling from two separate draws of n uniforms."""
+    eps = alpha / math.sqrt(n)
+    base = rng.random(n) + 2.0**-54
+    force = rng.random(n) + 2.0**-54
+    x = (base < 0.5).astype(np.int8)
+    x_prime = np.where(force < eps, np.int8(1), x)
+    return x, x_prime
+
+
+def schedule_rhos_by_dict(eps, affinity):
+    """Per-edge affinities by a dict from each distinct eps to ``affinity(eps)``."""
+    rho_of = {float(e): affinity(float(e)) for e in np.unique(eps)}
+    return np.array([rho_of[float(e)] for e in eps])
+
+
+#: the built-in potentials in their NumPy form, by density name
+NUMPY_FORM_POTENTIALS = {
+    "std-gaussian": lambda x: 0.5 * np.square(x) + 0.5 * math.log(2.0 * math.pi),
+    "exponential-rate-1": lambda x: np.asarray(x, dtype=float),
+    "half-gaussian": lambda x: 0.5 * np.square(x) + 0.5 * math.log(math.pi / 2.0),
+}

@@ -23,6 +23,7 @@ from flucert.coupling import (
 )
 from flucert.errors import DomainError, SizeError
 from flucert.rng import seed_stream
+from oracles import bernoulli_two_draws
 
 
 class TestAntiConcentrationBound:
@@ -125,6 +126,20 @@ class TestBernoulliMixing:
     def test_eps_domain(self):
         with pytest.raises(DomainError):
             bernoulli_mixing_coupling(4, 2.1, seed_stream(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 6400])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_two_draw_oracle(self, n, eps, seed):
+        alpha = eps * math.sqrt(n)
+        stream = seed_stream(seed, n, 3)
+        x, xp = bernoulli_mixing_coupling(n, alpha, stream)
+        oracle = seed_stream(seed, n, 3)
+        ox, oxp = bernoulli_two_draws(n, alpha, oracle)
+        assert x.dtype == xp.dtype == np.int8
+        np.testing.assert_array_equal(x, ox)
+        np.testing.assert_array_equal(xp, oxp)
+        assert stream.random() == oracle.random()  # same words consumed
 
     def test_flip_probability(self):
         # X'_i = X_i + 1 fires with probability eps/2 per coordinate

@@ -1,10 +1,12 @@
 """Tests for the density zoo, samplers, and Hellinger affinities."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from flucert.assignment import perturbation_affinity, row_tail_probability
 from flucert.densities import (
     AffinityResult,
     exponential_rate_affinity,
@@ -16,7 +18,9 @@ from flucert.densities import (
     standard_density,
 )
 from flucert.errors import ConfigError, DomainError
+from flucert.fpp import laplace_transform
 from flucert.rng import seed_stream
+from oracles import NUMPY_FORM_POTENTIALS
 
 ALL_NAMES = ("std-gaussian", "exponential-rate-1", "half-gaussian")
 
@@ -173,3 +177,69 @@ def test_affinity_result_validation():
         AffinityResult(1.2, 0.0, "closed-form")
     with pytest.raises(DomainError):
         AffinityResult(0.5, 1e-9, "closed-form")
+
+
+def numpy_form(f):
+    """The same density with its potential in the earlier NumPy form."""
+    return dataclasses.replace(f, potential=NUMPY_FORM_POTENTIALS[f.name])
+
+
+HALF_LINE_NAMES = ("exponential-rate-1", "half-gaussian")
+
+
+class TestPlainArithmeticPotentials:
+    """The plain-arithmetic potentials give every quadrature bit for bit."""
+
+    def test_same_values_on_floats_and_arrays(self, density):
+        x = np.concatenate([density.sample(seed_stream(8, 1, 2), 64), [0.0, 39.5]])
+        old = NUMPY_FORM_POTENTIALS[density.name]
+        np.testing.assert_array_equal(density.potential(x), old(x))
+        for v in x.tolist():
+            assert type(density.potential(v)) is float
+            assert density.potential(v) == old(v)
+
+    def test_normalization(self, density):
+        assert normalization(density) == normalization(numpy_form(density))
+
+    @pytest.mark.parametrize("eps", [-0.4, -0.1, -1e-3, 1e-4, 0.01, 0.07, 0.2, 0.45])
+    def test_scaled_affinity(self, density, eps):
+        assert scaled_affinity(density, eps) == scaled_affinity(
+            numpy_form(density), eps
+        )
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ("std-gaussian", "std-gaussian"),
+            ("exponential-rate-1", "half-gaussian"),
+            ("half-gaussian", "exponential-rate-1"),
+            ("exponential-rate-1", "exponential-rate-1"),
+        ],
+    )
+    def test_hellinger_affinity(self, pair):
+        f, g = (standard_density(name) for name in pair)
+        assert hellinger_affinity(f, g) == hellinger_affinity(
+            numpy_form(f), numpy_form(g)
+        )
+
+    @pytest.mark.parametrize("name", HALF_LINE_NAMES)
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 1.0, 2.5, 7.0, 20.0])
+    def test_laplace_transform(self, name, theta):
+        f = standard_density(name)
+        assert laplace_transform(f, theta) == laplace_transform(numpy_form(f), theta)
+
+    @pytest.mark.parametrize("name", HALF_LINE_NAMES)
+    @pytest.mark.parametrize(
+        "alpha, n", [(0.5, 10), (1.0, 10), (1.0, 100), (3.0, 100), (1.0, 6400)]
+    )
+    def test_perturbation_affinity(self, name, alpha, n):
+        f = standard_density(name)
+        assert perturbation_affinity(f, alpha, n) == perturbation_affinity(
+            numpy_form(f), alpha, n
+        )
+
+    @pytest.mark.parametrize("name", HALF_LINE_NAMES)
+    @pytest.mark.parametrize("n", [1, 10, 100, 1600, 6400])
+    def test_row_tail_probability(self, name, n):
+        f = standard_density(name)
+        assert row_tail_probability(f, n) == row_tail_probability(numpy_form(f), n)

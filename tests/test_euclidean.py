@@ -35,7 +35,12 @@ from flucert.euclidean import (
     _matching_layers,
 )
 from flucert.rng import seed_stream
-from oracles import held_karp_loop, matching_loop
+from oracles import (
+    dense_nn_sum,
+    held_karp_loop,
+    matching_loop,
+    rhee_sample_unbounded,
+)
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -83,6 +88,28 @@ class TestPointSet:
     def test_finite_validation(self):
         with pytest.raises(DomainError):
             PointSet(2, [[0.0, np.inf]])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [[[0.0, np.nan]], [[np.inf, 0.0], [np.inf, 1.0]], [[0.0, -np.inf], [0.0, 1.0]]],
+    )
+    def test_non_finite_rejected(self, pts):
+        with pytest.raises(DomainError, match="finite"):
+            PointSet(2, pts)
+
+    def test_empty_set_accepted(self):
+        assert PointSet(2, np.zeros((0, 2))).n == 0
+
+    def test_large_finite_spread_accepted(self):
+        ps = PointSet(2, [[0.0, 0.0], [1e150, 0.0], [0.0, 1e150]])
+        assert math.isfinite(nn_sum(ps).value)
+
+    @pytest.mark.parametrize("solver", [tsp_exact, matching_exact, nn_sum])
+    def test_overflowing_spread_rejected(self, solver):
+        # squared differences of 1e200 overflow: tsp_exact used to return the
+        # invalid tour (0, 1, 1) with value inf
+        with pytest.raises(DomainError, match="overflow"):
+            solver(PointSet(2, [[0, 0], [1e200, 0], [0, 1], [1e200, 1]]))
 
     def test_csv_roundtrip(self, tmp_path):
         ps = random_points(6, 11)
@@ -249,6 +276,22 @@ class TestNnSum:
             )
         assert nn_sum(ps).value == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 100, 400])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_oracle(self, n, seed):
+        ps = random_points(n, 500 + seed)
+        assert nn_sum(ps).value == dense_nn_sum(ps)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_oracle_with_duplicates(self, seed):
+        pts = seed_stream(600 + seed).random((60, 2))
+        pts[20:30] = pts[:10]  # ten duplicated points
+        pts[40:43] = pts[5]  # point 5 five times in all
+        ps = PointSet(2, pts)
+        assert nn_sum(ps).value == dense_nn_sum(ps)
+        twin = PointSet(2, pts[[0, 0]])  # n = 2, both points equal
+        assert nn_sum(twin).value == dense_nn_sum(twin) == 0.0
+
 
 class TestStructuralBounds:
     def test_tour_dominates_nn_sum(self):
@@ -369,6 +412,37 @@ class TestRheeCoupling:
         draws = trials * (n - n // 2)
         sigma = math.sqrt(draws * theta * (1 - theta))
         assert abs(total - draws * theta) <= 4 * sigma
+
+    @pytest.mark.parametrize("n, beta", [(8, 2.0), (100, 5.0), (400, 10.0)])
+    @pytest.mark.parametrize("seed", range(7))
+    def test_matches_unbounded_oracle(self, n, beta, seed):
+        stream = seed_stream(seed, n, 1)
+        x, xp, rc = rhee_coupling_sample(n, 0.5, beta, stream, probes=3000)
+        oracle = seed_stream(seed, n, 1)
+        ox, oxp, oidx, ovol = rhee_sample_unbounded(n, 0.5, beta, oracle, 3000)
+        np.testing.assert_array_equal(x.points, ox)
+        np.testing.assert_array_equal(xp.points, oxp)
+        assert rc.resample_indices == oidx
+        assert rc.vol_D_estimate == ovol
+        assert stream.random() == oracle.random()  # same words consumed
+
+    @pytest.mark.parametrize("probes", [0, -5, 2.5, 1e4, True, "100"])
+    def test_probes_must_be_a_positive_integer(self, probes):
+        with pytest.raises(DomainError):
+            rhee_coupling_sample(12, 0.3, 0.5, seed_stream(1), probes=probes)
+
+    def test_numpy_integer_probes_accepted(self):
+        _, _, rc = rhee_coupling_sample(
+            12, 0.3, 0.5, seed_stream(1), probes=np.int64(500)
+        )
+        assert rc.probes == 500 and type(rc.probes) is int
+
+    @pytest.mark.parametrize("max_rejection", [0, 0.5, -1, float("nan")])
+    def test_max_rejection_at_least_one(self, max_rejection):
+        with pytest.raises(DomainError):
+            rhee_coupling_sample(
+                12, 0.3, 0.5, seed_stream(1), probes=100, max_rejection=max_rejection
+            )
 
     def test_gap_and_surgery_bound(self):
         for rep in range(20):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flucert.densities import sample_iid, standard_density
+from flucert.coupling import PerturbationPlan, product_tv_bound
+from flucert.densities import sample_iid, scaled_affinity, standard_density
 from flucert.errors import ConfigError, DomainError, NumericError, ShapeError
 from flucert.fpp import (
     FppGrid,
@@ -23,7 +24,7 @@ from flucert.fpp import (
     ttq_lower_bound,
 )
 from flucert.rng import seed_stream
-from oracles import heap_dijkstra
+from oracles import heap_dijkstra, schedule_rhos_by_dict
 
 EXPO = standard_density("exponential-rate-1")
 
@@ -154,6 +155,22 @@ class TestSchedules:
         plan, tv = schedule_tv_bound(graded_schedule(grid, 1.0, 100), EXPO)
         assert 0.0 < tv < 1.0
         assert plan.eps_values.size == 2 * 5 * 6
+
+    @pytest.mark.parametrize("side", [4, 7, 12, 20, 40])
+    @pytest.mark.parametrize("kind", ["graded", "corridor"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_schedule_tv_bound_matches_dict_oracle(self, side, kind, alpha):
+        grid = unit_grid(side, side, (0, side // 2), (side - 1, side // 2))
+        if kind == "graded":
+            sched = graded_schedule(grid, alpha, 100)  # cut off at k > 50
+        else:
+            sched = corridor_schedule(grid, alpha, side, 0.05)
+        plan, tv = schedule_tv_bound(sched, EXPO)
+        eps = sched.flat_values()
+        rhos = schedule_rhos_by_dict(eps, lambda e: scaled_affinity(EXPO, e).rho)
+        np.testing.assert_array_equal(plan.eps_values, eps)
+        np.testing.assert_array_equal(plan.affinity_lower_bounds, rhos)
+        assert tv == product_tv_bound(PerturbationPlan("edge-graded", eps, rhos))
 
 
 class TestGapBound:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from flucert.errors import DomainError
 from flucert.rng import seed_stream, uniform_open
@@ -38,3 +39,57 @@ def test_uniform_open_strictly_inside():
     u = uniform_open(seed_stream(7), 10**5)
     assert np.all(u > 0.0)
     assert np.all(u < 1.0)
+
+
+@pytest.mark.parametrize(
+    "seed, rep, coord",
+    [
+        (0, 0, 0),
+        (2**64 - 1, 0, 0),
+        (0, 2**32 - 1, 0),
+        (0, 0, 2**32 - 1),
+        (2**64 - 1, 2**32 - 1, 2**32 - 1),
+        (12345, 77, 3),
+    ],
+)
+def test_key_is_seed_and_packed_indices(seed, rep, coord):
+    # the 128-bit integer form of the key: low word seed, high word packed
+    # indices; no float conversion can touch it
+    key = seed | (rep << 32 | coord) << 64
+    expected = Generator(Philox(key=key)).random(64)
+    stream = seed_stream(seed, rep, coord)
+    assert stream.bit_generator.state["state"]["key"].tolist() == [
+        seed,
+        rep << 32 | coord,
+    ]
+    np.testing.assert_array_equal(stream.random(64), expected)
+    if seed == 2**64 - 1 and rep == coord == 2**32 - 1:
+        # both words at or above 2**63: the tuple form is exact here too
+        tuple_form = Generator(Philox(key=(seed, rep << 32 | coord)))
+        np.testing.assert_array_equal(tuple_form.random(64), expected)
+
+
+def test_keys_past_int64_stay_distinct():
+    # a (seed, packed) tuple with one word at or above 2**63 and one below
+    # goes through float64 in numpy: seed 2**64 - 1 became key 0, and
+    # coordinates 0 and 1 of replicate 2**31 shared one key
+    assert not np.array_equal(
+        seed_stream(2**64 - 1).random(4), seed_stream(0).random(4)
+    )
+    assert not np.array_equal(
+        seed_stream(2**63).random(4), seed_stream(2**63 + 1).random(4)
+    )
+    assert not np.array_equal(
+        seed_stream(5, 2**31, 0).random(4), seed_stream(5, 2**31, 1).random(4)
+    )
+
+
+def test_interleaved_streams_match_streams_drawn_alone():
+    alone = [seed_stream(3, rep, 1).random(40) for rep in (0, 1)]
+    live = [seed_stream(3, 0, 1), seed_stream(3, 1, 1)]
+    chunks = [[], []]
+    for size in (1, 7, 2, 13, 17):  # 40 draws per stream, alternating
+        for stream, out in zip(live, chunks):
+            out.append(stream.random(size))
+    for expected, out in zip(alone, chunks):
+        np.testing.assert_array_equal(np.concatenate(out), expected)
