@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 from .coupling import (
     CouplingCertificate,
     PerturbationPlan,
-    anti_concentration_bound,
     bernoulli_exact_tv,
     bernoulli_mixing_coupling,
     certify,
     empirical_concentration_function,
-    product_affinity,
     product_tv_bound,
     tv_upper_from_affinity,
 )
@@ -36,13 +34,11 @@ __all__ = [
     "CouplingCertificate",
     "Density1D",
     "PerturbationPlan",
-    "anti_concentration_bound",
     "bernoulli_exact_tv",
     "bernoulli_mixing_coupling",
     "certify",
     "empirical_concentration_function",
     "hellinger_affinity",
-    "product_affinity",
     "product_tv_bound",
     "sample_iid",
     "scaled_affinity",

@@ -34,14 +34,6 @@ class CostMatrix:
             raise DomainError("costs must be finite and nonnegative")
         object.__setattr__(self, "entries", a)
 
-    def to_csv(self, path):
-        np.savetxt(path, self.entries, delimiter=",")
-
-    @classmethod
-    def from_csv(cls, path):
-        a = np.atleast_2d(np.loadtxt(path, delimiter=","))
-        return cls(a.shape[0], a)
-
 
 @dataclass(frozen=True)
 class AssignmentResult:
@@ -62,25 +54,6 @@ def hungarian(cm):
     _rows, perm = linear_sum_assignment(cm.entries)
     cost = float(cm.entries[np.arange(cm.n), perm].sum())
     return AssignmentResult(permutation=perm, cost=cost)
-
-
-def brute_force_assignment(cm):
-    """Factorial-enumeration oracle for small matrices."""
-    from itertools import permutations
-
-    n = cm.n
-    if n > 9:
-        raise DomainError("brute force is capped at n = 9")
-    a = cm.entries
-    rows = np.arange(n)
-    best_cost = math.inf
-    best_perm = None
-    for perm in permutations(range(n)):
-        cost = float(a[rows, perm].sum())
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm
-    return AssignmentResult(permutation=np.array(best_perm), cost=best_cost)
 
 
 def deformation(x, n):

@@ -33,42 +33,10 @@ def _check_unit(value, name):
     return value
 
 
-def anti_concentration_bound(p_close, tv):
-    """Upper bound on any interval probability from a coupling.
-
-    ``p_close`` is P(|X - Y| <= interval length), ``tv`` the total-variation
-    distance between the two marginal laws.
-    """
-    p_close = _check_unit(p_close, "p_close")
-    tv = _check_unit(tv, "tv")
-    return min(1.0, 0.5 * (1.0 + p_close + tv))
-
-
 def tv_upper_from_affinity(rho):
     """Total variation is at most sqrt(1 - rho^2) at Hellinger affinity rho."""
     rho = _check_unit(rho, "rho")
     return math.sqrt((1.0 - rho) * (1.0 + rho))
-
-
-def product_affinity(rhos):
-    """Affinity of product measures: the product of per-coordinate affinities."""
-    rhos = np.asarray(rhos, dtype=float)
-    if rhos.size == 0:
-        return 1.0
-    if np.any(rhos < 0.0) or np.any(rhos > 1.0):
-        raise DomainError("affinities must lie in [0, 1]")
-    return float(np.prod(rhos))
-
-
-def _tv_from_affinities(rhos):
-    rhos = np.asarray(rhos, dtype=float)
-    if rhos.size == 0:
-        return 0.0
-    if np.any(rhos <= 0.0):
-        return 1.0
-    # 1 - prod(rho^2) evaluated in log space to keep precision near rho = 1
-    log_sq = 2.0 * np.sum(np.log(rhos))
-    return math.sqrt(-math.expm1(min(log_sq, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -86,21 +54,27 @@ class PerturbationPlan:
         rho = np.asarray(self.affinity_lower_bounds, dtype=float)
         if eps.shape != rho.shape or eps.ndim != 1:
             raise DomainError("eps and affinity vectors must be equal-length 1-d")
-        if np.any(rho < 0.0) or np.any(rho > 1.0):
+        if not np.all(np.isfinite(eps)):
+            raise DomainError("eps values must be finite")
+        # written so that NaN fails it too
+        if not np.all((rho >= 0.0) & (rho <= 1.0)):
             raise DomainError("affinity lower bounds must lie in [0, 1]")
         if self.kind == "scale" and np.any(np.abs(eps) >= 0.5):
             raise DomainError("scale perturbations need |eps| < 1/2")
         object.__setattr__(self, "eps_values", eps)
         object.__setattr__(self, "affinity_lower_bounds", rho)
 
-    @property
-    def coordinate_count(self):
-        return int(self.eps_values.size)
-
 
 def product_tv_bound(plan):
     """TV bound sqrt(1 - prod rho_i^2) over the plan's coordinates."""
-    return _tv_from_affinities(plan.affinity_lower_bounds)
+    rhos = plan.affinity_lower_bounds
+    if rhos.size == 0:
+        return 0.0
+    if np.any(rhos <= 0.0):
+        return 1.0
+    # 1 - prod(rho^2) evaluated in log space to keep precision near rho = 1
+    log_sq = 2.0 * np.sum(np.log(rhos))
+    return math.sqrt(-math.expm1(min(log_sq, 0.0)))
 
 
 def bernoulli_coordinate_affinity(eps):

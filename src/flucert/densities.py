@@ -1,10 +1,9 @@
 """Smooth one-dimensional densities exp(-potential) and their Hellinger affinities.
 
 The densities handled here live on the full line or the half line, have a
-smooth potential (negative log-density) with evaluable first and second
-derivatives, and tails that decay faster than any polynomial.  That decay is
-what justifies truncating every integral to a fixed finite window before
-handing it to the adaptive quadrature.
+smooth potential (negative log-density), and tails that decay faster than any
+polynomial.  That decay is what justifies truncating every integral to a fixed
+finite window before handing it to the adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -36,21 +35,18 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 class Density1D:
     """A probability density exp(-potential) on the line or half line.
 
-    ``potential`` and its first and second derivatives ``potential_d1`` and
-    ``potential_d2`` take a float or a float array and return the same kind:
-    the quadrature integrands call ``potential`` on plain floats, ``pdf`` and
-    the tests on arrays.  The built-in potentials are plain arithmetic, which
-    gives the same IEEE results on both and avoids NumPy-scalar dispatch in
-    the integrands.  ``ppf`` is the inverse CDF backing the deterministic
-    sampler.  ``domain_scale`` widens the quadrature window for half-line
-    densities with a longer natural length scale.
+    ``potential`` takes a float or a float array and returns the same kind:
+    the quadrature integrands call it on plain floats, the tests on arrays.
+    The built-in potentials are plain arithmetic, which gives the same IEEE
+    results on both and avoids NumPy-scalar dispatch in the integrands.
+    ``ppf`` is the inverse CDF backing the deterministic sampler.
+    ``domain_scale`` widens the quadrature window for half-line densities with
+    a longer natural length scale.
     """
 
     name: str
     support: str
     potential: Callable
-    potential_d1: Callable
-    potential_d2: Callable
     ppf: Callable
     domain_scale: float = 1.0
 
@@ -62,9 +58,6 @@ class Density1D:
         if self.support == FULL_LINE:
             return (-_TAIL, _TAIL)
         return (0.0, _TAIL + self.domain_scale)
-
-    def pdf(self, x):
-        return np.exp(-self.potential(np.asarray(x, dtype=float)))
 
     def sample(self, rng, size=None):
         """Draw from the density; draw i depends only on the stream key and i."""
@@ -93,8 +86,6 @@ def _std_gaussian():
         name="std-gaussian",
         support=FULL_LINE,
         potential=lambda x: 0.5 * (x * x) + _HALF_LOG_2PI,
-        potential_d1=lambda x: np.asarray(x, dtype=float),
-        potential_d2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         ppf=ndtri,
     )
 
@@ -104,8 +95,6 @@ def _exponential_rate_1():
         name="exponential-rate-1",
         support=HALF_LINE,
         potential=lambda x: x + 0.0,
-        potential_d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        potential_d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         ppf=lambda u: -np.log1p(-np.asarray(u, dtype=float)),
     )
 
@@ -119,8 +108,6 @@ def _half_gaussian():
         name="half-gaussian",
         support=HALF_LINE,
         potential=lambda x: 0.5 * (x * x) + _HALF_GAUSS_CONST,
-        potential_d1=lambda x: np.asarray(x, dtype=float),
-        potential_d2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         ppf=lambda u: ndtri(0.5 * (1.0 + np.asarray(u, dtype=float))),
     )
 
@@ -154,10 +141,8 @@ def sample_iid(f, n, rng):
     return f.sample(rng, n)
 
 
-def _quad_or_raise(integrand, lo, hi, what, points=None):
-    value, err = quad(
-        integrand, lo, hi, epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200, points=points
-    )
+def _quad_or_raise(integrand, lo, hi, what):
+    value, err = quad(integrand, lo, hi, epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200)
     if err > QUAD_TOL:
         raise NumericError(
             f"quadrature for {what} did not converge below {QUAD_TOL:g} "

@@ -32,7 +32,7 @@ from .rng import uniform_open
 TSP_EXACT_MAX = 15
 MATCHING_MAX = 16
 
-FUNCTIONAL_KINDS = ("tsp-exact", "tsp-2opt", "matching-exact", "nn-sum")
+FUNCTIONAL_KINDS = ("tsp-exact", "matching-exact", "nn-sum")
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,6 @@ class PointSet:
 
     def scaled(self, factor):
         return PointSet(self.dim, self.points * float(factor))
-
-    def to_csv(self, path):
-        np.savetxt(path, self.points, delimiter=",")
-
-    @classmethod
-    def from_csv(cls, path, dim=None):
-        pts = np.atleast_2d(np.loadtxt(path, delimiter=","))
-        return cls(dim if dim is not None else pts.shape[1], pts)
 
 
 @dataclass(frozen=True)
@@ -167,10 +159,7 @@ def tsp_exact(ps):
     """
     n = ps.n
     if n < 3 or n > TSP_EXACT_MAX:
-        raise SizeError(
-            f"tsp_exact supports 3 <= n <= {TSP_EXACT_MAX} (got {n}); "
-            "use tsp_2opt for larger instances"
-        )
+        raise SizeError(f"tsp_exact supports 3 <= n <= {TSP_EXACT_MAX}, got {n}")
     dist = distance_matrix(ps)
     m = n - 1  # nodes 1..n-1, anchored at node 0
     sub_t = dist[1:, 1:].T
@@ -200,62 +189,6 @@ def tsp_exact(ps):
     order.append(0)
     order.reverse()
     return FunctionalValue("tsp-exact", tour_length(ps, order), tuple(order))
-
-
-def _two_opt_pass(order, dist):
-    """Single best-improvement 2-opt pass; returns True if a move was made."""
-    n = len(order)
-    best_gain = 0.0
-    best_move = None
-    for i in range(n - 1):
-        a, b = order[i], order[i + 1]
-        # reversing order[i+1 .. j] replaces edges (a,b) and (c,d) by (a,c), (b,d)
-        j = np.arange(i + 2, n)
-        c = order[j]
-        d = order[(j + 1) % n]
-        gains = dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d]
-        if i == 0:
-            gains = gains[:-1]  # (i, j) = (0, n-1) reverses the whole tour
-            j = j[:-1]
-        if gains.size == 0:
-            continue
-        k = int(np.argmin(gains))
-        if gains[k] < best_gain:
-            best_gain = float(gains[k])
-            best_move = (i + 1, int(j[k]))
-    if best_move is None:
-        return False
-    lo, hi = best_move
-    order[lo : hi + 1] = order[lo : hi + 1][::-1]
-    return True
-
-
-def tsp_2opt(ps, rng, restarts=20):
-    """2-opt local search over random restarts.
-
-    All comparisons are scale-invariant, so scaling the points by an exactly
-    representable factor scales the returned value exactly.
-    """
-    n = ps.n
-    if n < 4:
-        raise SizeError(f"tsp_2opt needs n >= 4, got {n}")
-    restarts = int(restarts)
-    if restarts < 1:
-        raise DomainError("need at least one restart")
-    dist = distance_matrix(ps)
-    best_value = math.inf
-    best_order = None
-    max_passes = 200 * n  # safety cap; each accepted move shortens the tour
-    for _ in range(restarts):
-        order = rng.permutation(n)
-        for _ in range(max_passes):
-            if not _two_opt_pass(order, dist):
-                break
-        value = tour_length(ps, order)
-        if value < best_value:
-            best_value = value
-            best_order = order.copy()
-    return FunctionalValue("tsp-2opt", best_value, tuple(int(v) for v in best_order))
 
 
 @lru_cache(maxsize=None)
@@ -357,27 +290,18 @@ def nn_sum(ps):
     return FunctionalValue("nn-sum", float(dist[:, 1].sum()), None)
 
 
-def evaluate_functional(ps, kind, rng_factory=None, restarts=20):
-    """Dispatch a functional evaluation by kind.
-
-    ``rng_factory`` must return a fresh identically seeded generator on every
-    call; tsp-2opt needs that so repeated evaluations (for homogeneity checks)
-    follow identical search paths.
-    """
+def evaluate_functional(ps, kind):
+    """Dispatch a functional evaluation by kind."""
     if kind == "tsp-exact":
         return tsp_exact(ps)
     if kind == "matching-exact":
         return matching_exact(ps)
     if kind == "nn-sum":
         return nn_sum(ps)
-    if kind == "tsp-2opt":
-        if rng_factory is None:
-            raise DomainError("tsp-2opt requires an rng_factory")
-        return tsp_2opt(ps, rng_factory(), restarts=restarts)
     raise DomainError(f"unknown functional kind {kind!r}")
 
 
-def scaling_coupling(ps, alpha, r, kind, density, rng_factory=None):
+def scaling_coupling(ps, alpha, r, kind, density):
     """Global scaling coupling: every coordinate shrinks by 1/(1 + eps).
 
     Returns (base value, scaled value, tv_bound).  The scaled value is
@@ -389,11 +313,9 @@ def scaling_coupling(ps, alpha, r, kind, density, rng_factory=None):
     eps = float(alpha) / math.sqrt(n)
     if not 0.0 <= eps < 0.5:
         raise DomainError(f"alpha n^-1/2 = {eps} must lie in [0, 1/2)")
-    base = evaluate_functional(ps, kind, rng_factory=rng_factory)
+    base = evaluate_functional(ps, kind)
     identity_value = base.value / (1.0 + eps) ** r
-    rescaled = evaluate_functional(
-        ps.scaled(1.0 / (1.0 + eps)), kind, rng_factory=rng_factory
-    )
+    rescaled = evaluate_functional(ps.scaled(1.0 / (1.0 + eps)), kind)
     tol = 1e-9 * max(1.0, abs(identity_value))
     if abs(rescaled.value - identity_value) > tol:
         raise InternalConsistencyError(
@@ -546,26 +468,3 @@ def rhee_conservative_affinity(coupling, theta, sigmas=3.0):
     """
     vol = max(coupling.vol_D_estimate - sigmas * coupling.vol_D_sigma, 1e-9)
     return rhee_mixture_affinity(vol, theta)
-
-
-def rhee_gap_statistics(ps, ps_prime, kind, rng_factory=None):
-    """Functional gap L - L' between the coupled point sets."""
-    base = evaluate_functional(ps, kind, rng_factory=rng_factory)
-    prime = evaluate_functional(ps_prime, kind, rng_factory=rng_factory)
-    return base.value - prime.value
-
-
-def move_surgery_bound(ps, ps_prime, moved_indices, max_edge=0.0):
-    """Upper bound on |L - L'| from moving the listed points one at a time.
-
-    Replacing one point p by p' in an optimal tour changes the optimum by at
-    most 2 ||p - p'|| (swap p for p' in place and use the triangle inequality
-    on its two incident edges); summing over moved points and padding each
-    term with the longest tour edge gives a deliberately loose sanity bound.
-    """
-    total = 0.0
-    for i in moved_indices:
-        total += 2.0 * (
-            float(np.linalg.norm(ps.points[i] - ps_prime.points[i])) + max_edge
-        )
-    return total

@@ -3,16 +3,14 @@
 Vertices are (x, y) with 0 <= x < width and 0 <= y < height; edges join
 nearest neighbors.  Passage times come from SciPy's compiled Dijkstra, and the
 geodesic witness is rebuilt from its predecessor array; when several paths
-tie, any one of them is a valid witness for the certified gap.  Two perturbation
-schedules divide edge weights by (1 + eps_e): one graded by graph distance
-from the source, one uniform inside a corridor around the source-target
-segment.
+tie, any one of them is a valid witness for the certified gap.  The
+perturbation divides each edge weight by (1 + eps_e), with eps_e graded by the
+graph distance of the edge from the source.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +20,6 @@ from scipy.sparse.csgraph import dijkstra
 from .coupling import PerturbationPlan, product_tv_bound
 from .densities import _quad_or_raise, scaled_affinity
 from .errors import ConfigError, DomainError, NumericError, ShapeError
-
-SCHEDULE_KINDS = ("distance-graded", "corridor")
 
 
 @dataclass(frozen=True)
@@ -80,16 +76,6 @@ class FppGrid:
             self.source[1] - self.target[1]
         )
 
-    def to_csv(self, path):
-        rows = []
-        for x in range(self.width - 1):
-            for y in range(self.height):
-                rows.append((x, y, x + 1, y, self.h_weights[x, y]))
-        for x in range(self.width):
-            for y in range(self.height - 1):
-                rows.append((x, y, x, y + 1, self.v_weights[x, y]))
-        np.savetxt(path, np.asarray(rows), delimiter=",")
-
 
 @dataclass(frozen=True)
 class GeodesicResult:
@@ -110,19 +96,15 @@ class GeodesicResult:
 class EpsSchedule:
     """Per-edge perturbation strengths, stored like the grid weights."""
 
-    kind: str
     h_values: np.ndarray
     v_values: np.ndarray
-    alpha: float
-    n: int
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise DomainError(f"unknown schedule kind {self.kind!r}")
         h = np.asarray(self.h_values, dtype=float)
         v = np.asarray(self.v_values, dtype=float)
-        if np.any(h < 0.0) or np.any(v < 0.0):
-            raise DomainError("schedule values must be nonnegative")
+        for values in (h, v):
+            if not np.all(np.isfinite(values) & (values >= 0.0)):
+                raise DomainError("schedule values must be finite and nonnegative")
         object.__setattr__(self, "h_values", h)
         object.__setattr__(self, "v_values", v)
 
@@ -166,17 +148,12 @@ def passage_time(grid):
     )
 
 
-def _endpoint_grids(grid):
-    xs = np.arange(grid.width)[:, None]
-    ys = np.arange(grid.height)[None, :]
-    return xs, ys
-
-
 def _source_graph_distance(grid):
     """Graph distance from the source for every vertex; the box is convex so
     this is the L1 distance."""
     sx, sy = grid.source
-    xs, ys = _endpoint_grids(grid)
+    xs = np.arange(grid.width)[:, None]
+    ys = np.arange(grid.height)[None, :]
     return np.abs(xs - sx) + np.abs(ys - sy)
 
 
@@ -206,55 +183,7 @@ def graded_schedule(grid, alpha, n):
     k_v = np.minimum(k_vertex[:, :-1], k_vertex[:, 1:])
     h_vals = np.where(k_h <= n / 2, graded_eps(k_h, alpha, n), 0.0)
     v_vals = np.where(k_v <= n / 2, graded_eps(k_v, alpha, n), 0.0)
-    return EpsSchedule("distance-graded", h_vals, v_vals, float(alpha), n)
-
-
-def _segment_distance(px, py, a, b):
-    """Euclidean distance from points (px, py) to the segment a-b."""
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    norm2 = dx * dx + dy * dy
-    if norm2 == 0.0:
-        return np.hypot(px - ax, py - ay)
-    t = np.clip(((px - ax) * dx + (py - ay) * dy) / norm2, 0.0, 1.0)
-    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def corridor_schedule(grid, alpha, n, eps_exponent_slack):
-    """Uniform strength alpha n^(-7/8 - slack) inside the corridor of
-    half-width n^(3/4 + 2 slack) around the source-target segment."""
-    n = int(n)
-    slack = float(eps_exponent_slack)
-    if slack <= 0.0:
-        raise DomainError("exponent slack must be positive")
-    if not float(alpha) > 0.0:
-        raise DomainError("alpha must be positive")
-    half_width = n ** (0.75 + 2.0 * slack)
-    if half_width >= max(grid.width, grid.height):
-        warnings.warn(
-            "corridor wider than the box; schedule clipped to the box",
-            stacklevel=2,
-        )
-    eps = float(alpha) * n ** (-7.0 / 8.0 - slack)
-    xs, ys = _endpoint_grids(grid)
-    seg_dist = _segment_distance(
-        xs + 0.0 * ys, ys + 0.0 * xs, grid.source, grid.target
-    )
-    inside = seg_dist <= half_width
-    in_h = inside[:-1, :] & inside[1:, :]
-    in_v = inside[:, :-1] & inside[:, 1:]
-    return EpsSchedule(
-        "corridor",
-        np.where(in_h, eps, 0.0),
-        np.where(in_v, eps, 0.0),
-        float(alpha),
-        n,
-    )
-
-
-def corridor_eps(alpha, n, eps_exponent_slack):
-    return float(alpha) * int(n) ** (-7.0 / 8.0 - float(eps_exponent_slack))
+    return EpsSchedule(h_vals, v_vals)
 
 
 def perturb(grid, sched):
@@ -300,21 +229,6 @@ def ttq_lower_bound(geo, sched, m):
         e = sched.edge_value(u, v)
         total += e * w / (1.0 + e)
     return total
-
-
-def geodesic_inside_corridor(geo, sched):
-    """True when every geodesic edge carries the full corridor strength."""
-    eps = max(float(sched.h_values.max()), float(sched.v_values.max()))
-    if eps == 0.0:
-        return True
-    return all(sched.edge_value(u, v) == eps for u, v in geo.edge_list)
-
-
-def touches_boundary(geo, grid):
-    return any(
-        x in (0, grid.width - 1) or y in (0, grid.height - 1)
-        for x, y in geo.path
-    )
 
 
 def laplace_transform(density, theta):

@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import PerturbationPlan, product_tv_bound
-from .densities import sample_iid, scaled_affinity
 from .errors import DomainError, RankError, ShapeError
-from .rng import seed_stream
 
 ENSEMBLE_KINDS = ("wigner", "sample-covariance")
 
@@ -142,53 +139,3 @@ def scaling_shift_check(spec, inputs, alpha):
     shift = spec.degree * spec.order * math.log1p(eps)
     exact = abs(base.log_abs_det - scaled.log_abs_det - shift) <= 1e-9
     return base.log_abs_det, scaled.log_abs_det, shift, bool(exact)
-
-
-def covariance_gap(order, sample_count, alpha):
-    """Deterministic log-det gap 2 p log(1 + alpha (n p)^-1/2)."""
-    eps = float(alpha) / math.sqrt(order * sample_count)
-    return 2.0 * order * math.log1p(eps)
-
-
-@dataclass(frozen=True)
-class CovarianceExperiment:
-    """Certificate inputs from repeated sample-covariance draws."""
-
-    log_dets: np.ndarray
-    gap: float  # deterministic, identical across seeds
-    tv_bound: float
-    per_coordinate_affinity: float
-    coordinate_count: int
-    shift_violations: int
-
-
-def covariance_fluctuation_experiment(p, n, density, alpha, seeds, base_seed=0):
-    """Repeat the covariance scaling coupling across independent seeds.
-
-    Each seed draws n p scalars, builds the covariance matrix, and verifies
-    the deterministic shift identity; the gap per seed equals the shift, of
-    order 2 alpha sqrt(p/n).  The TV bound multiplies one scaled affinity
-    over all n p coordinates.
-    """
-    spec = covariance_spec(p, n)
-    eps = float(alpha) / math.sqrt(spec.n_inputs)
-    log_dets = np.empty(int(seeds))
-    violations = 0
-    for rep in range(int(seeds)):
-        inputs = sample_iid(density, spec.n_inputs, seed_stream(base_seed, rep, 0))
-        base, _scaled, _shift, exact = scaling_shift_check(spec, inputs, alpha)
-        log_dets[rep] = base
-        if not exact:
-            violations += 1
-    rho = scaled_affinity(density, eps).rho
-    plan = PerturbationPlan(
-        "scale", np.full(spec.n_inputs, eps), np.full(spec.n_inputs, rho)
-    )
-    return CovarianceExperiment(
-        log_dets=log_dets,
-        gap=covariance_gap(p, n, alpha),
-        tv_bound=product_tv_bound(plan),
-        per_coordinate_affinity=rho,
-        coordinate_count=spec.n_inputs,
-        shift_violations=violations,
-    )

@@ -47,13 +47,6 @@ class SKDisorder:
         mat[iu] = self.couplings
         return mat + mat.T
 
-    def to_csv(self, path):
-        np.savetxt(path, self.couplings, delimiter=",")
-
-    @classmethod
-    def from_csv(cls, path, n):
-        return cls(n, np.atleast_1d(np.loadtxt(path, delimiter=",")))
-
 
 @dataclass(frozen=True)
 class SKResult:

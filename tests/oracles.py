@@ -4,8 +4,9 @@ Each routine is the loop that ``flucert`` used before its solver became a
 SciPy/NumPy call or a vectorized kernel: the potential-based Hungarian method,
 a heap Dijkstra with smallest-index tie breaking, a partial-pivoting LU
 log-determinant, a Gray-code sweep over spin configurations, a per-mask
-Held-Karp loop and a per-mask push loop for the minimum matching.  They take
-the same inputs as the ``flucert`` solvers and return plain values.
+Held-Karp loop and a per-mask push loop for the minimum matching.  The
+enumeration of all n! assignments backs the Hungarian checks at small n.  They
+take the same inputs as the ``flucert`` solvers and return plain values.
 
 The second half keeps the earlier forms of the per-replicate hot paths, which
 the current ones must match bit for bit: the dense nearest-neighbor sum, the
@@ -16,6 +17,7 @@ forms of the built-in potentials.
 
 import heapq
 import math
+from itertools import permutations
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -68,6 +70,24 @@ def hungarian_loop(costs):
     for j in range(1, n + 1):
         perm[match[j] - 1] = j - 1
     return perm, float(a[np.arange(n), perm].sum())
+
+
+def brute_force_assignment(costs):
+    """Optimal assignment by enumerating all n! permutations.
+
+    Returns (permutation, cost); among equal costs the lexicographically
+    first permutation wins.
+    """
+    a = np.asarray(costs, dtype=float)
+    rows = np.arange(a.shape[0])
+    best_cost = math.inf
+    best_perm = None
+    for perm in permutations(range(a.shape[0])):
+        cost = float(a[rows, perm].sum())
+        if cost < best_cost:
+            best_cost = cost
+            best_perm = perm
+    return np.array(best_perm), best_cost
 
 
 def heap_dijkstra(grid):

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from flucert.coupling import (
     CouplingCertificate,
     PerturbationPlan,
-    anti_concentration_bound,
     bernoulli_coordinate_affinity,
     bernoulli_exact_tv,
     bernoulli_mixing_coupling,
     certify,
     empirical_concentration_function,
     hoeffding_slack,
-    product_affinity,
     product_tv_bound,
     tv_upper_from_affinity,
 )
@@ -26,24 +24,29 @@ from flucert.rng import seed_stream
 from oracles import bernoulli_two_draws
 
 
+def certified_bound(p_close, tv):
+    """The certificate's bound when the closeness probability is known exactly."""
+    return CouplingCertificate(0.0, p_close, 0.0, tv, 0.95).bound
+
+
 class TestAntiConcentrationBound:
     def test_degenerate_cases(self):
-        assert anti_concentration_bound(1.0, 0.0) == 1.0
-        assert anti_concentration_bound(0.0, 0.0) == 0.5
+        assert certified_bound(1.0, 0.0) == 1.0
+        assert certified_bound(0.0, 0.0) == 0.5
 
     def test_worked_example(self):
         # closeness 1/3 and TV 1/2 certify 11/12
-        assert anti_concentration_bound(1 / 3, 1 / 2) == pytest.approx(11 / 12)
+        assert certified_bound(1 / 3, 1 / 2) == pytest.approx(11 / 12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            anti_concentration_bound(-0.1, 0.0)
+            certified_bound(-0.1, 0.0)
         with pytest.raises(DomainError):
-            anti_concentration_bound(0.5, 1.5)
+            certified_bound(0.5, 1.5)
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_range(self, p, tv):
-        b = anti_concentration_bound(p, tv)
+        b = certified_bound(p, tv)
         assert 0.5 <= b <= 1.0
 
 
@@ -58,22 +61,6 @@ class TestTvFromAffinity:
     def test_domain(self):
         with pytest.raises(DomainError):
             tv_upper_from_affinity(1.01)
-
-
-class TestProductAffinity:
-    def test_ones(self):
-        assert product_affinity([1.0, 1.0, 1.0]) == 1.0
-
-    def test_arithmetic(self):
-        assert product_affinity([0.9, 0.9]) == pytest.approx(0.81)
-
-    def test_empty_product(self):
-        assert product_affinity([]) == 1.0
-
-    def test_limit(self):
-        n, c = 10**6, 1.0
-        value = product_affinity(np.full(n, 1.0 - c / n))
-        assert value == pytest.approx(math.exp(-1.0), abs=1e-5)
 
 
 class TestProductTvBound:
@@ -98,6 +85,13 @@ class TestProductTvBound:
         plan = PerturbationPlan("mixing", np.zeros(2), np.array([0.5, 0.0]))
         assert product_tv_bound(plan) == 1.0
 
+    def test_limit(self):
+        # the affinity product (1 - c/n)^n tends to e^-c
+        n, c = 10**6, 1.0
+        plan = PerturbationPlan("mixing", np.zeros(n), np.full(n, 1.0 - c / n))
+        expected = math.sqrt(1.0 - math.exp(-2.0 * c))
+        assert product_tv_bound(plan) == pytest.approx(expected, abs=1e-5)
+
 
 class TestPerturbationPlan:
     def test_length_mismatch(self):
@@ -111,6 +105,15 @@ class TestPerturbationPlan:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             PerturbationPlan("twist", np.zeros(1), np.ones(1))
+
+    def test_nan_affinity_rejected(self):
+        with pytest.raises(DomainError):
+            PerturbationPlan("mixing", [0.1, 0.2], [0.9, math.nan])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, bad):
+        with pytest.raises(DomainError):
+            PerturbationPlan("mixing", [0.1, bad], [0.9, 0.9])
 
 
 class TestBernoulliMixing:
@@ -191,7 +194,8 @@ class TestBernoulliExactTv:
         for n in (1, 10, 100, 400):
             for eps in (0.01, 0.05, 0.1):
                 rho = bernoulli_coordinate_affinity(eps)
-                hell = tv_upper_from_affinity(product_affinity(np.full(n, rho)))
+                plan = PerturbationPlan("mixing", np.full(n, eps), np.full(n, rho))
+                hell = product_tv_bound(plan)
                 assert bernoulli_exact_tv(n, eps) <= hell + 1e-12
 
     def test_size_cap(self):

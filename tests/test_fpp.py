@@ -12,8 +12,8 @@ from flucert.coupling import PerturbationPlan, product_tv_bound
 from flucert.densities import sample_iid, scaled_affinity, standard_density
 from flucert.errors import ConfigError, DomainError, NumericError, ShapeError
 from flucert.fpp import (
+    EpsSchedule,
     FppGrid,
-    corridor_schedule,
     graded_eps,
     graded_schedule,
     laplace_transform,
@@ -55,6 +55,16 @@ def unit_grid(width, height, source, target):
         np.ones((width, height - 1)),
         source,
         target,
+    )
+
+
+def band_schedule(grid, eps, half_width):
+    """Strength eps on the edges within half_width rows of the source row."""
+    rows = np.abs(np.arange(grid.height) - grid.source[1]) <= half_width
+    inside = np.broadcast_to(rows, (grid.width, grid.height))
+    return EpsSchedule(
+        np.where(inside[:-1, :] & inside[1:, :], eps, 0.0),
+        np.where(inside[:, :-1] & inside[:, 1:], eps, 0.0),
     )
 
 
@@ -146,9 +156,13 @@ class TestSchedules:
         sched = graded_schedule(grid, 1.0, 100)
         assert sched.h_values[0, 0] > sched.h_values[1, 0] > sched.h_values[2, 0]
 
-    def test_corridor_needs_positive_slack(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    @pytest.mark.parametrize("field", ["h", "v"])
+    def test_invalid_strengths_rejected(self, bad, field):
+        h, v = np.full((3, 4), 0.1), np.full((4, 3), 0.1)
+        (h if field == "h" else v)[1, 2] = bad
         with pytest.raises(DomainError):
-            corridor_schedule(unit_grid(4, 4, (0, 0), (3, 3)), 1.0, 16, 0.0)
+            EpsSchedule(h, v)
 
     def test_schedule_tv_bound_in_range(self):
         grid = unit_grid(6, 6, (0, 3), (5, 3))
@@ -164,7 +178,8 @@ class TestSchedules:
         if kind == "graded":
             sched = graded_schedule(grid, alpha, 100)  # cut off at k > 50
         else:
-            sched = corridor_schedule(grid, alpha, side, 0.05)
+            # one strength inside a band around the source-target row
+            sched = band_schedule(grid, alpha * side**-0.925, side**0.85)
         plan, tv = schedule_tv_bound(sched, EXPO)
         eps = sched.flat_values()
         rhos = schedule_rhos_by_dict(eps, lambda e: scaled_affinity(EXPO, e).rho)

@@ -46,13 +46,6 @@ class TestDisorder:
         np.testing.assert_array_equal(mat, mat.T)
         np.testing.assert_array_equal(np.diag(mat), np.zeros(5))
 
-    def test_csv_roundtrip(self, tmp_path):
-        dis = random_disorder(6, 2)
-        path = tmp_path / "disorder.csv"
-        dis.to_csv(path)
-        again = SKDisorder.from_csv(path, 6)
-        np.testing.assert_allclose(again.couplings, dis.couplings)
-
 
 class TestHamiltonian:
     def test_two_spins(self):
