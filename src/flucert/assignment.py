@@ -62,7 +62,7 @@ def deformation(x, n):
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):  # NaN fails it too
         raise DomainError("the deformation profile is defined on x >= 0")
     root_n = math.sqrt(n)
     out = np.where(x <= 1.0 / n, root_n * x, x + 1.0 / root_n - 1.0 / n)
@@ -77,10 +77,10 @@ def invert_perturbation(a, alpha, n):
     """
     n = int(n)
     alpha = float(alpha)
-    if alpha < 0.0:
-        raise DomainError(f"need alpha >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"need finite alpha >= 0, got {alpha}")
     a = np.asarray(a, dtype=float)
-    if np.any(a < 0.0):
+    if not np.all(a >= 0.0):
         raise DomainError("perturbed costs must be nonnegative")
     root_n = math.sqrt(n)
     eps = alpha / n
@@ -109,7 +109,7 @@ def perturbation_affinity(f, alpha, n):
     alpha = float(alpha)
     eps = alpha / n
     if eps == 0.0:
-        return AffinityResult(1.0, 0.0, "closed-form")
+        return AffinityResult(1.0, 0.0)
     if not 0.0 < eps < 0.5:
         raise DomainError(f"alpha/n = {eps} must lie in (0, 1/2)")
     root_n = math.sqrt(n)
@@ -139,7 +139,7 @@ def perturbation_affinity(f, alpha, n):
             f"(summed error estimate {err:g})",
             partial=value,
         )
-    return AffinityResult(min(value, 1.0), err, "adaptive-quadrature")
+    return AffinityResult(min(value, 1.0), err)
 
 
 def row_tail_probability(f, n):

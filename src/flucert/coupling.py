@@ -74,7 +74,8 @@ def product_tv_bound(plan):
         return 1.0
     # 1 - prod(rho^2) evaluated in log space to keep precision near rho = 1
     log_sq = 2.0 * np.sum(np.log(rhos))
-    return math.sqrt(-math.expm1(min(log_sq, 0.0)))
+    # 0.0 - x is -x, except that it gives +0.0 rather than -0.0 at x = 0
+    return math.sqrt(0.0 - math.expm1(min(log_sq, 0.0)))
 
 
 def bernoulli_coordinate_affinity(eps):
@@ -99,7 +100,7 @@ def bernoulli_mixing_coupling(n, alpha, rng):
     if n < 1:
         raise DomainError(f"need n >= 1 coordinates, got {n}")
     eps = float(alpha) / math.sqrt(n)
-    if eps < 0.0 or eps >= 1.0:
+    if not 0.0 <= eps < 1.0:
         raise DomainError(f"alpha / sqrt(n) = {eps} must lie in [0, 1)")
     u = uniform_open(rng, 2 * n)
     x = (u[:n] < 0.5).view(np.int8)
@@ -119,7 +120,7 @@ def bernoulli_exact_tv(n, eps):
     if n > 100000:
         raise SizeError(f"n = {n} risks overflow; supported up to 100000")
     eps = float(eps)
-    if eps < 0.0 or eps >= 1.0:
+    if not 0.0 <= eps < 1.0:
         raise DomainError(f"eps must lie in [0, 1), got {eps}")
     if eps == 0.0:
         return 0.0
@@ -145,10 +146,10 @@ def empirical_concentration_function(samples, l):
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DomainError("need at least one sample")
-    if float(l) < 0.0:
+    if not float(l) >= 0.0:  # NaN fails it too
         raise DomainError(f"window length must be nonnegative, got {l}")
-    if np.any(np.diff(samples) < 0.0):
-        raise DomainError("samples must be sorted nondecreasing")
+    if not np.all(np.diff(samples) >= 0.0):
+        raise DomainError("samples must be sorted nondecreasing, with no NaN")
     right = np.searchsorted(samples, samples + float(l), side="right")
     counts = right - np.arange(samples.size)
     return float(counts.max()) / float(samples.size)
@@ -181,11 +182,11 @@ class CouplingCertificate:
     bound: float = field(init=False)
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise DomainError("delta must be nonnegative")
+        if not 0.0 <= self.delta < math.inf:
+            raise DomainError(f"delta must be finite and nonnegative, got {self.delta}")
         _check_unit(self.p_close_hat, "p_close_hat")
-        if self.p_close_slack < 0.0:
-            raise DomainError("slack must be nonnegative")
+        if not self.p_close_slack >= 0.0:
+            raise DomainError(f"slack must be nonnegative, got {self.p_close_slack}")
         _check_unit(self.tv_bound, "tv_bound")
         if not 0.0 < self.confidence < 1.0:
             raise DomainError("confidence must lie in (0, 1)")

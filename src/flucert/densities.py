@@ -39,16 +39,15 @@ class Density1D:
     the quadrature integrands call it on plain floats, the tests on arrays.
     The built-in potentials are plain arithmetic, which gives the same IEEE
     results on both and avoids NumPy-scalar dispatch in the integrands.
-    ``ppf`` is the inverse CDF backing the deterministic sampler.
-    ``domain_scale`` widens the quadrature window for half-line densities with
-    a longer natural length scale.
+    ``ppf`` is the inverse CDF backing the deterministic sampler.  Every
+    integral runs over the fixed window ``quad_range()``: [-40, 40] on the
+    line, [0, 41] on the half line.
     """
 
     name: str
     support: str
     potential: Callable
     ppf: Callable
-    domain_scale: float = 1.0
 
     def __post_init__(self):
         if self.support not in (FULL_LINE, HALF_LINE):
@@ -57,7 +56,7 @@ class Density1D:
     def quad_range(self):
         if self.support == FULL_LINE:
             return (-_TAIL, _TAIL)
-        return (0.0, _TAIL + self.domain_scale)
+        return (0.0, _TAIL + 1.0)
 
     def sample(self, rng, size=None):
         """Draw from the density; draw i depends only on the stream key and i."""
@@ -66,71 +65,52 @@ class Density1D:
 
 @dataclass(frozen=True)
 class AffinityResult:
-    """Hellinger affinity value with the error estimate of its evaluation."""
+    """Hellinger affinity with its quadrature error estimate (0 if exact)."""
 
     rho: float
     quadrature_error_estimate: float
-    method: str  # "closed-form" or "adaptive-quadrature"
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"affinity {self.rho} outside [0, 1]")
         if self.quadrature_error_estimate < 0.0:
             raise DomainError("error estimate must be nonnegative")
-        if self.method == "closed-form" and self.quadrature_error_estimate != 0.0:
-            raise DomainError("closed-form affinities carry no quadrature error")
-
-
-def _std_gaussian():
-    return Density1D(
-        name="std-gaussian",
-        support=FULL_LINE,
-        potential=lambda x: 0.5 * (x * x) + _HALF_LOG_2PI,
-        ppf=ndtri,
-    )
-
-
-def _exponential_rate_1():
-    return Density1D(
-        name="exponential-rate-1",
-        support=HALF_LINE,
-        potential=lambda x: x + 0.0,
-        ppf=lambda u: -np.log1p(-np.asarray(u, dtype=float)),
-    )
 
 
 _HALF_GAUSS_CONST = 0.5 * math.log(math.pi / 2.0)
 
-
-def _half_gaussian():
+#: the built-in densities, one object per name
+_STANDARD = {
+    "std-gaussian": Density1D(
+        name="std-gaussian",
+        support=FULL_LINE,
+        potential=lambda x: 0.5 * (x * x) + _HALF_LOG_2PI,
+        ppf=ndtri,
+    ),
+    "exponential-rate-1": Density1D(
+        name="exponential-rate-1",
+        support=HALF_LINE,
+        potential=lambda x: x + 0.0,
+        ppf=lambda u: -np.log1p(-np.asarray(u, dtype=float)),
+    ),
     # density sqrt(2/pi) * exp(-x^2/2) on [0, inf)
-    return Density1D(
+    "half-gaussian": Density1D(
         name="half-gaussian",
         support=HALF_LINE,
         potential=lambda x: 0.5 * (x * x) + _HALF_GAUSS_CONST,
         ppf=lambda u: ndtri(0.5 * (1.0 + np.asarray(u, dtype=float))),
-    )
-
-
-_BUILDERS = {
-    "std-gaussian": _std_gaussian,
-    "exponential-rate-1": _exponential_rate_1,
-    "half-gaussian": _half_gaussian,
+    ),
 }
 
-STANDARD_DENSITY_NAMES = tuple(sorted(_BUILDERS))
 
-
-@lru_cache(maxsize=None)
 def standard_density(name):
     """Return one of the built-in densities by name."""
     try:
-        builder = _BUILDERS[name]
+        return _STANDARD[name]
     except KeyError:
         raise ConfigError(
-            f"unknown density {name!r}; available: {', '.join(STANDARD_DENSITY_NAMES)}"
+            f"unknown density {name!r}; available: {', '.join(sorted(_STANDARD))}"
         ) from None
-    return builder()
 
 
 def sample_iid(f, n, rng):
@@ -172,7 +152,7 @@ def hellinger_affinity(f, g):
         return math.exp(-0.5 * (float(f.potential(x)) + float(g.potential(x))))
 
     value, err = _quad_or_raise(integrand, lo, hi, f"affinity({f.name}, {g.name})")
-    return AffinityResult(min(value, 1.0), err, "adaptive-quadrature")
+    return AffinityResult(min(value, 1.0), err)
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +166,7 @@ def scaled_affinity(f, eps):
     if not -0.5 < eps < 0.5:
         raise DomainError(f"scaling eps must lie in (-1/2, 1/2), got {eps}")
     if eps == 0.0:
-        return AffinityResult(1.0, 0.0, "closed-form")
+        return AffinityResult(1.0, 0.0)
     lo, hi = f.quad_range()
     scale = math.sqrt(1.0 + eps)
 
@@ -196,7 +176,7 @@ def scaled_affinity(f, eps):
         )
 
     value, err = _quad_or_raise(integrand, lo, hi, f"scaled affinity({f.name}, {eps})")
-    return AffinityResult(min(value, 1.0), err, "adaptive-quadrature")
+    return AffinityResult(min(value, 1.0), err)
 
 
 def gaussian_scale_affinity(sigma1, sigma2):
@@ -204,7 +184,7 @@ def gaussian_scale_affinity(sigma1, sigma2):
     if sigma1 <= 0.0 or sigma2 <= 0.0:
         raise DomainError("standard deviations must be positive")
     rho = math.sqrt(2.0 * sigma1 * sigma2 / (sigma1**2 + sigma2**2))
-    return AffinityResult(min(rho, 1.0), 0.0, "closed-form")
+    return AffinityResult(min(rho, 1.0), 0.0)
 
 
 def exponential_rate_affinity(rate1, rate2):
@@ -212,4 +192,4 @@ def exponential_rate_affinity(rate1, rate2):
     if rate1 <= 0.0 or rate2 <= 0.0:
         raise DomainError("rates must be positive")
     rho = 2.0 * math.sqrt(rate1 * rate2) / (rate1 + rate2)
-    return AffinityResult(min(rho, 1.0), 0.0, "closed-form")
+    return AffinityResult(min(rho, 1.0), 0.0)

@@ -32,9 +32,6 @@ from .rng import uniform_open
 TSP_EXACT_MAX = 15
 MATCHING_MAX = 16
 
-FUNCTIONAL_KINDS = ("tsp-exact", "matching-exact", "nn-sum")
-
-
 @dataclass(frozen=True)
 class PointSet:
     """A finite set of points in R^d, one row per point."""
@@ -73,15 +70,8 @@ class PointSet:
 class FunctionalValue:
     """Value of a geometric functional with its optimality witness."""
 
-    kind: str
     value: float
     witness: object  # tour order, matching pairs, or None
-
-    def __post_init__(self):
-        if self.kind not in FUNCTIONAL_KINDS:
-            raise DomainError(f"unknown functional kind {self.kind!r}")
-        if self.value < 0.0:
-            raise DomainError("functional values are nonnegative")
 
 
 def distance_matrix(ps):
@@ -188,7 +178,7 @@ def tsp_exact(ps):
         j = k
     order.append(0)
     order.reverse()
-    return FunctionalValue("tsp-exact", tour_length(ps, order), tuple(order))
+    return FunctionalValue(tour_length(ps, order), tuple(order))
 
 
 @lru_cache(maxsize=None)
@@ -269,9 +259,7 @@ def matching_exact(ps):
         pairs.append((low.bit_length() - 1, (pair ^ low).bit_length() - 1))
         mask = before
     pairs.reverse()
-    return FunctionalValue(
-        "matching-exact", matching_length(ps, pairs), tuple(pairs)
-    )
+    return FunctionalValue(matching_length(ps, pairs), tuple(pairs))
 
 
 def nn_sum(ps):
@@ -287,7 +275,7 @@ def nn_sum(ps):
     if ps.n < 2:
         raise SizeError(f"nn_sum needs n >= 2, got {ps.n}")
     dist = cKDTree(ps.points).query(ps.points, k=2)[0]
-    return FunctionalValue("nn-sum", float(dist[:, 1].sum()), None)
+    return FunctionalValue(float(dist[:, 1].sum()), None)
 
 
 def evaluate_functional(ps, kind):
@@ -334,27 +322,15 @@ def scaling_coupling(ps, alpha, r, kind, density):
 class RheeCoupling:
     """Bookkeeping for one draw of the resampling coupling.
 
-    ``resample_indices`` lists the points (0-based, all at least m) whose
-    perturbed copy came from the neighborhood region D; the affinity is exact
-    given the region volume, which is itself a Monte-Carlo estimate with the
-    reported standard error.
+    ``resample_indices`` lists the points (0-based, all at least n // 2)
+    whose perturbed copy came from the neighborhood region D; the affinity is
+    exact given the region volume, which is itself a Monte-Carlo estimate with
+    the reported standard error.
     """
 
-    m: int
-    ball_radius: float
     resample_indices: tuple
     vol_D_estimate: float
     vol_D_sigma: float
-    probes: int
-    exact_affinity_per_coordinate: float
-
-    def __post_init__(self):
-        if not 0.0 < self.vol_D_estimate <= 1.0:
-            raise DomainError("region volume estimate must lie in (0, 1]")
-        if not 0.0 <= self.exact_affinity_per_coordinate <= 1.0:
-            raise DomainError("affinity must lie in [0, 1]")
-        if any(i < self.m for i in self.resample_indices):
-            raise DomainError("only indices >= m may be resampled")
 
 
 def rhee_mixture_affinity(vol, theta):
@@ -447,24 +423,16 @@ def rhee_coupling_sample(
         x_prime[i] = y
         resampled.append(i)
 
-    coupling = RheeCoupling(
-        m=m,
-        ball_radius=radius,
-        resample_indices=tuple(resampled),
-        vol_D_estimate=vol_hat,
-        vol_D_sigma=vol_sigma,
-        probes=probes,
-        exact_affinity_per_coordinate=rhee_mixture_affinity(vol_hat, theta),
-    )
+    coupling = RheeCoupling(tuple(resampled), vol_hat, vol_sigma)
     return PointSet(2, x), PointSet(2, x_prime), coupling
 
 
-def rhee_conservative_affinity(coupling, theta, sigmas=3.0):
-    """Affinity at the volume estimate lowered by ``sigmas`` standard errors.
+def rhee_conservative_affinity(coupling, theta):
+    """Affinity at the volume estimate lowered by three standard errors.
 
     The mixture affinity increases with the region volume, so evaluating it at
     the lowered volume folds the Monte-Carlo error of the volume estimate into
     the certificate conservatively.
     """
-    vol = max(coupling.vol_D_estimate - sigmas * coupling.vol_D_sigma, 1e-9)
+    vol = max(coupling.vol_D_estimate - 3.0 * coupling.vol_D_sigma, 1e-9)
     return rhee_mixture_affinity(vol, theta)

@@ -1,11 +1,14 @@
 """First-passage percolation on finite planar boxes.
 
-Vertices are (x, y) with 0 <= x < width and 0 <= y < height; edges join
-nearest neighbors.  Passage times come from SciPy's compiled Dijkstra, and the
-geodesic witness is rebuilt from its predecessor array; when several paths
-tie, any one of them is a valid witness for the certified gap.  The
-perturbation divides each edge weight by (1 + eps_e), with eps_e graded by the
-graph distance of the edge from the source.
+Vertices are (x, y) with 0 <= x < width and 0 <= y < height, with vertex id
+x * height + y; edges join nearest neighbors.  Every per-edge array (weights,
+schedule strengths, the csgraph's rows and columns, geodesic edges) uses one
+flat edge layout: the horizontal edges ``h.ravel()`` followed by the vertical
+edges ``v.ravel()``.  Passage times come from SciPy's compiled Dijkstra, and
+the geodesic witness is rebuilt from its predecessor array; when several
+paths tie, any one of them is a valid witness for the certified gap.  The
+perturbation divides each edge weight by (1 + eps_e), with eps_e graded by
+the graph distance of the edge from the source.
 """
 
 from __future__ import annotations
@@ -63,38 +66,28 @@ class FppGrid:
         object.__setattr__(self, "source", tuple(int(c) for c in self.source))
         object.__setattr__(self, "target", tuple(int(c) for c in self.target))
 
-    def edge_weight(self, u, v):
-        (x1, y1), (x2, y2) = sorted((tuple(u), tuple(v)))
-        if (x2, y2) == (x1 + 1, y1):
-            return float(self.h_weights[x1, y1])
-        if (x2, y2) == (x1, y1 + 1):
-            return float(self.v_weights[x1, y1])
-        raise DomainError(f"{u}-{v} is not a nearest-neighbor edge")
 
-    def graph_distance(self):
-        return abs(self.source[0] - self.target[0]) + abs(
-            self.source[1] - self.target[1]
-        )
+def _flat(h_part, v_part):
+    """Per-edge arrays in the flat edge layout: horizontal, then vertical."""
+    return np.concatenate([h_part.ravel(), v_part.ravel()])
 
 
 @dataclass(frozen=True)
 class GeodesicResult:
-    """Passage time with one minimizing self-avoiding path as witness."""
+    """Passage time with one minimizing self-avoiding path as witness.
+
+    ``edge_list`` holds the path's flat edge indices in order from source to
+    target, and ``edge_weights`` their weights.
+    """
 
     passage_time: float
-    path: tuple  # vertex sequence from source to target
-    edge_list: tuple  # edges in path order
+    edge_list: np.ndarray
     edge_weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edge_weights", np.asarray(self.edge_weights, dtype=float)
-        )
 
 
 @dataclass(frozen=True)
 class EpsSchedule:
-    """Per-edge perturbation strengths, stored like the grid weights."""
+    """Per-edge perturbation strengths, shaped like the grid weights."""
 
     h_values: np.ndarray
     v_values: np.ndarray
@@ -102,33 +95,31 @@ class EpsSchedule:
     def __post_init__(self):
         h = np.asarray(self.h_values, dtype=float)
         v = np.asarray(self.v_values, dtype=float)
+        if h.ndim != 2 or v.shape != (h.shape[0] + 1, h.shape[1] - 1):
+            raise ShapeError(f"strengths {h.shape} and {v.shape} do not fit one box")
         for values in (h, v):
             if not np.all(np.isfinite(values) & (values >= 0.0)):
                 raise DomainError("schedule values must be finite and nonnegative")
         object.__setattr__(self, "h_values", h)
         object.__setattr__(self, "v_values", v)
 
-    def edge_value(self, u, v):
-        (x1, y1), (x2, y2) = sorted((tuple(u), tuple(v)))
-        if (x2, y2) == (x1 + 1, y1):
-            return float(self.h_values[x1, y1])
-        return float(self.v_values[x1, y1])
-
     def flat_values(self):
-        return np.concatenate([self.h_values.ravel(), self.v_values.ravel()])
+        return _flat(self.h_values, self.v_values)
 
 
 def passage_time(grid):
     """Exact first-passage time and one geodesic from source to target.
 
     ``scipy.sparse.csgraph.dijkstra`` on the box graph, with the geodesic
-    read back from its predecessor array.
+    read back from its predecessor array.  A step from vertex id lo to
+    lo + height is edge lo; a step from lo to lo + 1 is edge
+    (width-1) * height + lo - lo // height.
     """
     w, h = grid.width, grid.height
     ids = np.arange(w * h).reshape(w, h)
-    rows = np.concatenate([ids[:-1, :].ravel(), ids[:, :-1].ravel()])
-    cols = np.concatenate([ids[1:, :].ravel(), ids[:, 1:].ravel()])
-    weights = np.concatenate([grid.h_weights.ravel(), grid.v_weights.ravel()])
+    rows = _flat(ids[:-1, :], ids[:, :-1])
+    cols = _flat(ids[1:, :], ids[:, 1:])
+    weights = _flat(grid.h_weights, grid.v_weights)
     graph = csr_matrix((weights, (rows, cols)), shape=(w * h, w * h))
     src, tgt = int(ids[grid.source]), int(ids[grid.target])
     dist, pred = dijkstra(graph, directed=False, indices=src, return_predecessors=True)
@@ -138,14 +129,11 @@ def passage_time(grid):
     backward = [tgt]
     while backward[-1] != src:
         backward.append(int(pred[backward[-1]]))
-    path = tuple(divmod(u, h) for u in reversed(backward))
-    edges = tuple(zip(path[:-1], path[1:]))
-    return GeodesicResult(
-        passage_time=float(dist[tgt]),
-        path=path,
-        edge_list=edges,
-        edge_weights=np.array([grid.edge_weight(a, b) for a, b in edges]),
-    )
+    path = np.array(backward[::-1])
+    lo = np.minimum(path[:-1], path[1:])
+    vertical = np.abs(path[1:] - path[:-1]) == 1
+    edges = np.where(vertical, (w - 1) * h + lo - lo // h, lo)
+    return GeodesicResult(float(dist[tgt]), edges, weights[edges])
 
 
 def _source_graph_distance(grid):
@@ -188,6 +176,7 @@ def graded_schedule(grid, alpha, n):
 
 def perturb(grid, sched):
     """Divide every edge weight by (1 + eps_e)."""
+    # an EpsSchedule's v shape follows from its h shape, as a grid's does
     if sched.h_values.shape != grid.h_weights.shape:
         raise ShapeError("schedule does not match the grid")
     return FppGrid(
@@ -219,16 +208,15 @@ def ttq_lower_bound(geo, sched, m):
 
     The perturbed passage time is at most the original geodesic evaluated on
     the shrunken weights, so T - T' >= sum over those edges of
-    eps * w / (1 + eps); truncating to the first m edges keeps it valid.
+    eps * w / (1 + eps); truncating to the first m edges keeps it valid.  The
+    terms are summed left to right along the path.
     """
     m = int(m)
     if m < 0 or m > len(geo.edge_list):
         raise DomainError(f"m must lie in [0, {len(geo.edge_list)}], got {m}")
-    total = 0.0
-    for (u, v), w in list(zip(geo.edge_list, geo.edge_weights))[:m]:
-        e = sched.edge_value(u, v)
-        total += e * w / (1.0 + e)
-    return total
+    eps = sched.flat_values()[geo.edge_list[:m]]
+    terms = np.r_[0.0, eps * geo.edge_weights[:m] / (1.0 + eps)]
+    return float(np.cumsum(terms)[-1])  # in path order; np.sum adds pairwise
 
 
 def laplace_transform(density, theta):
@@ -256,7 +244,7 @@ def path_weight_tail(density, r, b):
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
     b = float(b)
-    if b <= 0.0:
+    if not b > 0.0:  # NaN fails it too
         raise DomainError(f"need b > 0, got {b}")
     per_edge = math.e * laplace_transform(density, 1.0 / b)
     return min(1.0, per_edge**r)

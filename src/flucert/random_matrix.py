@@ -21,52 +21,43 @@ ENSEMBLE_KINDS = ("wigner", "sample-covariance")
 
 @dataclass(frozen=True)
 class MatrixEnsembleSpec:
-    """Shape data for one ensemble: order, input count, homogeneity degree."""
+    """Shape data for one ensemble; the kind fixes the input count and degree.
+
+    A Wigner matrix of order N has N (N + 1) / 2 inputs and degree 1; a sample
+    covariance of order p has sample_count * p inputs and degree 2.
+    """
 
     kind: str
     order: int  # N for wigner, p for sample covariance
-    n_inputs: int
-    degree: int
     sample_count: int = 0  # number of data vectors (covariance only)
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise DomainError(f"unknown ensemble kind {self.kind!r}")
+        if self.order < 1:
+            raise DomainError("order must be positive")
+        if self.kind == "sample-covariance" and self.order > self.sample_count - 1:
+            raise DomainError(
+                "mean centering drops one rank: need order <= sample_count - 1"
+            )
+
+    @property
+    def n_inputs(self):
         if self.kind == "wigner":
-            expected = self.order * (self.order + 1) // 2
-            if self.n_inputs != expected or self.degree != 1:
-                raise DomainError(
-                    f"wigner of order {self.order} needs n_inputs = {expected}, degree 1"
-                )
-        else:
-            if self.n_inputs != self.sample_count * self.order or self.degree != 2:
-                raise DomainError(
-                    "sample covariance needs n_inputs = sample_count * order, degree 2"
-                )
-            if self.order > self.sample_count - 1:
-                raise DomainError(
-                    "mean centering drops one rank: need order <= sample_count - 1"
-                )
+            return self.order * (self.order + 1) // 2
+        return self.sample_count * self.order
+
+    @property
+    def degree(self):
+        return 1 if self.kind == "wigner" else 2
 
 
 def wigner_spec(order):
-    if order < 1:
-        raise DomainError("order must be positive")
-    return MatrixEnsembleSpec(
-        kind="wigner", order=order, n_inputs=order * (order + 1) // 2, degree=1
-    )
+    return MatrixEnsembleSpec("wigner", order)
 
 
 def covariance_spec(order, sample_count):
-    if order < 1 or sample_count < 2:
-        raise DomainError("need order >= 1 and sample_count >= 2")
-    return MatrixEnsembleSpec(
-        kind="sample-covariance",
-        order=order,
-        n_inputs=sample_count * order,
-        degree=2,
-        sample_count=sample_count,
-    )
+    return MatrixEnsembleSpec("sample-covariance", order, sample_count)
 
 
 def build(spec, inputs):
@@ -91,17 +82,11 @@ def build(spec, inputs):
 
 @dataclass(frozen=True)
 class LogDetResult:
-    """log |det| with the determinant sign; rank deficiency is flagged."""
+    """log |det| with the determinant sign; sign 0 marks a rank-deficient
+    matrix, whose log |det| is -inf."""
 
     log_abs_det: float
     sign: int
-    rank_deficient: bool
-
-    def __post_init__(self):
-        if self.rank_deficient and (self.sign != 0 or self.log_abs_det != -math.inf):
-            raise DomainError(
-                "rank-deficient results must carry sign 0 and -inf magnitude"
-            )
 
 
 def log_abs_det(matrix):
@@ -115,8 +100,8 @@ def log_abs_det(matrix):
         raise ShapeError(f"need a square matrix, got shape {mat.shape}")
     sign, value = np.linalg.slogdet(mat)
     if sign == 0.0:
-        return LogDetResult(-math.inf, 0, True)
-    return LogDetResult(float(value), int(sign), False)
+        return LogDetResult(-math.inf, 0)
+    return LogDetResult(float(value), int(sign))
 
 
 def scaling_shift_check(spec, inputs, alpha):
@@ -131,10 +116,10 @@ def scaling_shift_check(spec, inputs, alpha):
     if not 0.0 <= eps < 0.5:
         raise DomainError(f"alpha n^-1/2 = {eps} must lie in [0, 1/2)")
     base = log_abs_det(build(spec, inputs))
-    if base.rank_deficient:
+    if base.sign == 0:
         raise RankError("base matrix is singular")
     scaled = log_abs_det(build(spec, np.asarray(inputs, dtype=float) / (1.0 + eps)))
-    if scaled.rank_deficient:
+    if scaled.sign == 0:
         raise RankError("scaled matrix is singular")
     shift = spec.degree * spec.order * math.log1p(eps)
     exact = abs(base.log_abs_det - scaled.log_abs_det - shift) <= 1e-9

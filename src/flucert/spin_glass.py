@@ -52,7 +52,6 @@ class SKDisorder:
 class SKResult:
     """Free energy, Gibbs-average energy, and ground state at one temperature."""
 
-    beta: float
     free_energy: float
     gibbs_energy: float
     ground_state: float
@@ -121,7 +120,6 @@ def result_from_energies(energies, beta):
     weights /= weights.sum()
     gibbs = float(weights @ energies)
     return SKResult(
-        beta=beta,
         free_energy=free,
         gibbs_energy=gibbs,
         ground_state=float(energies.max()),
@@ -156,18 +154,15 @@ def scale_disorder(dis, alpha):
     return SKDisorder(dis.n, dis.couplings / factor)
 
 
-def jensen_gap_check(dis, alpha, beta, energies=None, scaled_energies=None):
+def jensen_gap_check(dis, alpha, beta, energies, scaled_energies):
     """Free-energy gap against its Jensen lower bound.
 
     Returns (lhs, rhs, holds) where lhs is the scaled-minus-base free energy
     difference and rhs = beta * alpha * <H>_beta / (n (1 - alpha/n)).
-    Precomputed energy tables of length 2^n may be passed to save enumerations.
+    ``energies`` and ``scaled_energies`` are the 2^n energy tables of the
+    disorder and of its scaled copy, from ``enumerate_energies``.
     """
-    disorder_scale_eps(dis.n, alpha)  # validates alpha whichever tables are given
-    if energies is None:
-        energies = enumerate_energies(dis)
-    if scaled_energies is None:
-        scaled_energies = enumerate_energies(scale_disorder(dis, alpha))
+    disorder_scale_eps(dis.n, alpha)  # validates alpha
     _check_table_length(energies, dis.n)
     _check_table_length(scaled_energies, dis.n)
     base = result_from_energies(energies, beta)
@@ -182,7 +177,7 @@ def jensen_gap_check(dis, alpha, beta, energies=None, scaled_energies=None):
     return lhs, rhs, bool(lhs >= rhs - 1e-10)
 
 
-def derivative_check(dis, beta, step=1e-4, energies=None):
+def derivative_check(dis, beta, step=1e-4):
     """Finite-difference derivative of the free energy against <H>_beta."""
     beta = float(beta)
     if not 0.0 < beta < math.inf:
@@ -190,9 +185,7 @@ def derivative_check(dis, beta, step=1e-4, energies=None):
     step = float(step)
     if not 0.0 < step < math.inf:
         raise DomainError(f"derivative step must be finite and > 0, got {step}")
-    if energies is None:
-        energies = enumerate_energies(dis)
-    _check_table_length(energies, dis.n)
+    energies = enumerate_energies(dis)
     up = float(logsumexp((beta + step) * energies))
     down = float(logsumexp((beta - step) * energies))
     fd = (up - down) / (2.0 * step)

@@ -11,8 +11,8 @@ take the same inputs as the ``flucert`` solvers and return plain values.
 The second half keeps the earlier forms of the per-replicate hot paths, which
 the current ones must match bit for bit: the dense nearest-neighbor sum, the
 resampling sampler with unbounded tree queries, the two-draw Bernoulli
-coupling, the per-edge dict lookup of the schedule affinities and the NumPy
-forms of the built-in potentials.
+coupling, the per-edge dict lookup of the schedule affinities, the FPP gap
+summed over vertex pairs and the NumPy forms of the built-in potentials.
 """
 
 import heapq
@@ -349,6 +349,24 @@ def schedule_rhos_by_dict(eps, affinity):
     """Per-edge affinities by a dict from each distinct eps to ``affinity(eps)``."""
     rho_of = {float(e): affinity(float(e)) for e in np.unique(eps)}
     return np.array([rho_of[float(e)] for e in eps])
+
+
+def ttq_by_vertex_pairs(grid, sched, path, m):
+    """FPP gap over the first m edges of a vertex path, as a float loop.
+
+    Each edge's weight and strength are read from the 2-D arrays by its
+    sorted vertex pair, and the terms eps * w / (1 + eps) are added left to
+    right from 0.0.
+    """
+    total = 0.0
+    for u, v in list(zip(path[:-1], path[1:]))[:m]:
+        (x1, y1), (x2, y2) = sorted((u, v))
+        if (x2, y2) == (x1 + 1, y1):
+            e, w = float(sched.h_values[x1, y1]), float(grid.h_weights[x1, y1])
+        else:
+            e, w = float(sched.v_values[x1, y1]), float(grid.v_weights[x1, y1])
+        total += e * w / (1.0 + e)
+    return total
 
 
 #: the built-in potentials in their NumPy form, by density name

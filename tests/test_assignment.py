@@ -101,6 +101,17 @@ class TestDeformation:
         with pytest.raises(DomainError):
             invert_perturbation(1.0, -0.1, 10)
 
+    def test_nan_cost_rejected(self):
+        with pytest.raises(DomainError):
+            deformation(math.nan, 10)
+        with pytest.raises(DomainError):
+            invert_perturbation(np.array([0.5, math.nan]), 1.0, 10)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_nan_and_infinite_alpha_rejected(self, alpha):
+        with pytest.raises(DomainError, match="alpha"):
+            invert_perturbation(1.0, alpha, 10)
+
 
 class TestAffinity:
     @pytest.mark.parametrize("n", [10, 100, 1000])
@@ -143,6 +154,10 @@ class TestGapCertificate:
         cert = gap_certificate(random_costs(25, seed), 1.0)
         assert cert.holds
         assert cert.cost - cert.cost_perturbed >= cert.lower_bound - 1e-10
+
+    def test_nan_alpha_rejected_at_entry(self):
+        with pytest.raises(DomainError, match="alpha"):
+            gap_certificate(random_costs(6, 0), math.nan)
 
     def test_solves_base_and_perturbed_instance(self, monkeypatch):
         seen = []

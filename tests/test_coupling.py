@@ -67,6 +67,7 @@ class TestProductTvBound:
     def test_all_one(self):
         plan = PerturbationPlan("scale", np.zeros(5), np.ones(5))
         assert product_tv_bound(plan) == 0.0
+        assert math.copysign(1.0, product_tv_bound(plan)) == 1.0  # not -0.0
 
     def test_single_coordinate_matches_scalar_form(self):
         plan = PerturbationPlan("mixing", np.zeros(1), np.array([0.6]))
@@ -127,8 +128,9 @@ class TestBernoulliMixing:
         assert set(np.unique(x)) <= {0, 1}
 
     def test_eps_domain(self):
-        with pytest.raises(DomainError):
-            bernoulli_mixing_coupling(4, 2.1, seed_stream(0))
+        for alpha in (2.1, -0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                bernoulli_mixing_coupling(4, alpha, seed_stream(0))
 
     @pytest.mark.parametrize("n", [1, 2, 100, 6400])
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3, 0.9])
@@ -179,6 +181,11 @@ class TestBernoulliExactTv:
     def test_two_point_enumeration(self):
         assert bernoulli_exact_tv(1, 0.2) == pytest.approx(0.1, abs=1e-15)
 
+    @pytest.mark.parametrize("eps", [1.0, -0.1, math.nan, math.inf])
+    def test_eps_domain(self, eps):
+        with pytest.raises(DomainError):
+            bernoulli_exact_tv(100, eps)
+
     def test_matches_positive_part_form(self):
         # the expectation form E(1 - (1+eps)^S (1-eps)^(n-S))_+ agrees
         n, eps = 12, 0.07
@@ -217,6 +224,12 @@ class TestConcentrationFunction:
     def test_full_range(self):
         s = np.sort(seed_stream(3).random(50))
         assert empirical_concentration_function(s, 1.0) == 1.0
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            empirical_concentration_function(np.array([0.0, 1.0, 2.0]), math.nan)
+        with pytest.raises(DomainError):
+            empirical_concentration_function(np.array([0.0, math.nan, 2.0]), 0.5)
 
     def test_requires_sorted(self):
         with pytest.raises(DomainError):
@@ -267,6 +280,18 @@ class TestCertify:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             certify(np.array([]), 0.0, 0.95)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf, -math.inf])
+    def test_delta_must_be_finite_and_nonnegative(self, delta):
+        with pytest.raises(DomainError):
+            certify(np.ones(4), 0.0, 0.95, delta=delta)
+        with pytest.raises(DomainError):
+            CouplingCertificate(delta, 0.5, 0.0, 0.5, 0.95)
+
+    @pytest.mark.parametrize("slack", [-0.1, math.nan])
+    def test_slack_must_be_nonnegative(self, slack):
+        with pytest.raises(DomainError):
+            CouplingCertificate(1.0, 0.5, slack, 0.5, 0.95)
 
     @given(
         st.integers(1, 200),

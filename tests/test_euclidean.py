@@ -319,7 +319,7 @@ class TestRheeCoupling:
     def test_beta_zero_identity(self):
         x, xp, rc = rhee_coupling_sample(12, 0.3, 0.0, seed_stream(31), probes=5000)
         np.testing.assert_array_equal(x.points, xp.points)
-        assert rc.exact_affinity_per_coordinate == 1.0
+        assert rhee_mixture_affinity(rc.vol_D_estimate, 0.0) == 1.0
         assert rc.resample_indices == ()
 
     def test_affinity_formula(self):
@@ -348,13 +348,14 @@ class TestRheeCoupling:
     def test_conservative_affinity_below_estimate(self):
         _, _, rc = rhee_coupling_sample(12, 0.3, 0.5, seed_stream(33), probes=5000)
         theta = 0.5 / math.sqrt(12)
-        assert rhee_conservative_affinity(rc, theta) <= (
-            rc.exact_affinity_per_coordinate
-        )
+        rho = rhee_conservative_affinity(rc, theta)
+        assert rho <= rhee_mixture_affinity(rc.vol_D_estimate, theta)
+        lowered = rc.vol_D_estimate - 3.0 * rc.vol_D_sigma  # three standard errors
+        assert rho == rhee_mixture_affinity(lowered, theta)
 
     def test_shared_prefix_and_support(self):
         x, xp, rc = rhee_coupling_sample(14, 0.4, 0.9, seed_stream(35), probes=5000)
-        m = rc.m
+        m = 14 // 2
         np.testing.assert_array_equal(x.points[:m], xp.points[:m])
         assert np.all((xp.points >= 0) & (xp.points <= 1))
         kept = [i for i in range(m, 14) if i not in rc.resample_indices]
@@ -362,7 +363,7 @@ class TestRheeCoupling:
         # every resampled point lies inside the region D
         for i in rc.resample_indices:
             d = np.min(np.linalg.norm(x.points[:m] - xp.points[i], axis=1))
-            assert d <= rc.ball_radius
+            assert d <= 0.4 / math.sqrt(14)
 
     def test_marginal_resampling_rate(self):
         # total resample count is Binomial(trials * (n - m), theta)
@@ -397,10 +398,13 @@ class TestRheeCoupling:
             rhee_coupling_sample(12, 0.3, 0.5, seed_stream(1), probes=probes)
 
     def test_numpy_integer_probes_accepted(self):
-        _, _, rc = rhee_coupling_sample(
+        x, xp, rc = rhee_coupling_sample(
             12, 0.3, 0.5, seed_stream(1), probes=np.int64(500)
         )
-        assert rc.probes == 500 and type(rc.probes) is int
+        ox, oxp, orc = rhee_coupling_sample(12, 0.3, 0.5, seed_stream(1), probes=500)
+        np.testing.assert_array_equal(x.points, ox.points)
+        np.testing.assert_array_equal(xp.points, oxp.points)
+        assert rc == orc
 
     @pytest.mark.parametrize("max_rejection", [0, 0.5, -1, float("nan")])
     def test_max_rejection_at_least_one(self, max_rejection):

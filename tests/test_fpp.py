@@ -24,7 +24,7 @@ from flucert.fpp import (
     ttq_lower_bound,
 )
 from flucert.rng import seed_stream
-from oracles import heap_dijkstra, schedule_rhos_by_dict
+from oracles import heap_dijkstra, schedule_rhos_by_dict, ttq_by_vertex_pairs
 
 EXPO = standard_density("exponential-rate-1")
 
@@ -79,14 +79,31 @@ def networkx_passage_time(grid):
     return nx.shortest_path_length(g, grid.source, grid.target, weight="weight")
 
 
+def decode_edges(grid, edges):
+    """The vertex path that flat edge indices trace from the source, and the
+    weight of each edge, read from the 2-D weight arrays."""
+    n_h = (grid.width - 1) * grid.height
+    path, weights = [grid.source], []
+    for e in edges.tolist():
+        if e < n_h:
+            x, y = divmod(e, grid.height)
+            ends = ((x, y), (x + 1, y))
+            weights.append(grid.h_weights[x, y])
+        else:
+            x, y = divmod(e - n_h, grid.height - 1)
+            ends = ((x, y), (x, y + 1))
+            weights.append(grid.v_weights[x, y])
+        assert path[-1] in ends, (path[-1], ends)
+        path.append(ends[1] if path[-1] == ends[0] else ends[0])
+    return tuple(path), weights
+
+
 def assert_valid_witness(geo, grid):
-    assert geo.path[0] == grid.source and geo.path[-1] == grid.target
-    assert len(set(geo.path)) == len(geo.path)
-    assert geo.edge_list == tuple(zip(geo.path[:-1], geo.path[1:]))
-    for (x1, y1), (x2, y2) in geo.edge_list:
-        assert abs(x1 - x2) + abs(y1 - y2) == 1
-    expected = [grid.edge_weight(u, v) for u, v in geo.edge_list]
-    np.testing.assert_array_equal(geo.edge_weights, expected)
+    assert geo.edge_list.dtype.kind == "i"
+    path, weights = decode_edges(grid, geo.edge_list)
+    assert path[-1] == grid.target
+    assert len(set(path)) == len(path)
+    np.testing.assert_array_equal(geo.edge_weights, weights)
     assert geo.edge_weights.sum() == pytest.approx(geo.passage_time, rel=1e-12)
 
 
@@ -101,7 +118,7 @@ class TestPassageTime:
         geo = passage_time(grid)
         t, path = heap_dijkstra(grid)
         assert geo.passage_time == pytest.approx(t, rel=1e-12)
-        assert geo.path == path
+        assert decode_edges(grid, geo.edge_list)[0] == path
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_networkx(self, seed):
@@ -116,8 +133,8 @@ class TestPassageTime:
     def test_ties_give_a_geodesic(self):
         grid = unit_grid(6, 5, (0, 0), (5, 4))
         geo = passage_time(grid)
-        assert geo.passage_time == grid.graph_distance()
-        assert len(geo.edge_list) == grid.graph_distance()
+        assert geo.passage_time == 9.0  # the L1 distance from (0, 0) to (5, 4)
+        assert len(geo.edge_list) == 9
         assert_valid_witness(geo, grid)
 
     def test_unreachable_target_raises(self):
@@ -164,6 +181,21 @@ class TestSchedules:
         with pytest.raises(DomainError):
             EpsSchedule(h, v)
 
+    @pytest.mark.parametrize(
+        "h_shape, v_shape",
+        [((12,), (12,)), ((3, 4), (4, 1)), ((3, 4), (2, 2)), ((3, 4), (3, 4))],
+    )
+    def test_misshapen_schedule_rejected(self, h_shape, v_shape):
+        with pytest.raises(ShapeError):
+            EpsSchedule(np.full(h_shape, 0.1), np.full(v_shape, 0.1))
+
+    def test_schedule_of_another_box_rejected(self):
+        grid = unit_grid(4, 4, (0, 0), (3, 3))
+        with pytest.raises(ShapeError):
+            perturb(grid, graded_schedule(unit_grid(5, 4, (0, 0), (4, 3)), 1.0, 100))
+        with pytest.raises(ShapeError):
+            perturb(grid, graded_schedule(unit_grid(4, 5, (0, 0), (3, 4)), 1.0, 100))
+
     def test_schedule_tv_bound_in_range(self):
         grid = unit_grid(6, 6, (0, 3), (5, 3))
         plan, tv = schedule_tv_bound(graded_schedule(grid, 1.0, 100), EXPO)
@@ -208,6 +240,18 @@ class TestGapBound:
             gap = ttq_lower_bound(geo, sched, m)
             assert gap <= geo.passage_time - t_prime + 1e-12 * geo.passage_time
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_vertex_pair_loop(self, seed):
+        width, height = SIZES[seed % len(SIZES)]
+        grid = random_grid(width, height, 900 + seed)
+        sched = graded_schedule(grid, 0.5, max(5, width, height))
+        geo = passage_time(grid)
+        _t, path = heap_dijkstra(grid)
+        for m in range(len(geo.edge_list) + 1):
+            assert ttq_lower_bound(geo, sched, m) == ttq_by_vertex_pairs(
+                grid, sched, path, m
+            )
+
     def test_m_domain(self):
         grid = unit_grid(3, 3, (0, 0), (2, 2))
         geo = passage_time(grid)
@@ -222,6 +266,11 @@ class TestLaplace:
         assert laplace_transform(EXPO, theta) == pytest.approx(
             1.0 / (1.0 + theta), rel=1e-9
         )
+
+    @pytest.mark.parametrize("b", [math.nan, 0.0, -1.0])
+    def test_path_weight_tail_needs_positive_b(self, b):
+        with pytest.raises(DomainError):
+            path_weight_tail(EXPO, 3, b)
 
     def test_path_weight_tail_capped(self):
         assert path_weight_tail(EXPO, 3, 10.0) == 1.0

@@ -9,7 +9,7 @@ from flucert import random_matrix
 from flucert.densities import sample_iid, standard_density
 from flucert.errors import DomainError, RankError, ShapeError
 from flucert.random_matrix import (
-    LogDetResult,
+    MatrixEnsembleSpec,
     build,
     covariance_spec,
     log_abs_det,
@@ -29,8 +29,7 @@ def random_inputs(spec, seed):
 def assert_matches_oracle(mat):
     got = log_abs_det(mat)
     value, sign = lu_log_abs_det(mat)
-    assert not got.rank_deficient
-    assert got.sign == sign
+    assert got.sign == sign != 0
     assert got.log_abs_det == pytest.approx(value, rel=1e-11, abs=1e-11)
 
 
@@ -56,7 +55,7 @@ class TestLogAbsDet:
         mat = build(spec, random_inputs(spec, 1))
         mat[:, 2] = 0.0
         got = log_abs_det(mat)
-        assert got.rank_deficient and got.sign == 0 and got.log_abs_det == -math.inf
+        assert got.sign == 0 and got.log_abs_det == -math.inf
         assert lu_log_abs_det(mat) == (-math.inf, 0)
 
     @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
@@ -64,9 +63,31 @@ class TestLogAbsDet:
         with pytest.raises(ShapeError):
             log_abs_det(np.ones(shape))
 
-    def test_result_consistency(self):
+
+class TestSpec:
+    @pytest.mark.parametrize("order", [1, 2, 7])
+    def test_wigner_sizes(self, order):
+        spec = wigner_spec(order)
+        assert (spec.n_inputs, spec.degree) == (order * (order + 1) // 2, 1)
+
+    @pytest.mark.parametrize("order, samples", [(1, 2), (6, 20), (160, 320)])
+    def test_covariance_sizes(self, order, samples):
+        spec = covariance_spec(order, samples)
+        assert (spec.n_inputs, spec.degree) == (order * samples, 2)
+
+    @pytest.mark.parametrize(
+        "kind, order, samples",
+        [
+            ("wigner", 0, 0),
+            ("sample-covariance", 0, 5),
+            ("sample-covariance", 4, 4),
+            ("sample-covariance", 1, 1),
+            ("gue", 3, 0),
+        ],
+    )
+    def test_invalid_specs_rejected(self, kind, order, samples):
         with pytest.raises(DomainError):
-            LogDetResult(0.0, 1, True)
+            MatrixEnsembleSpec(kind, order, samples)
 
 
 class TestScalingShift:

@@ -26,6 +26,13 @@ def random_disorder(n, seed):
     return SKDisorder(n, seed_stream(seed).standard_normal(n * (n - 1) // 2))
 
 
+def jensen(dis, alpha, beta):
+    """``jensen_gap_check`` with the two energy tables it needs."""
+    energies = enumerate_energies(dis)
+    scaled = enumerate_energies(scale_disorder(dis, alpha))
+    return jensen_gap_check(dis, alpha, beta, energies, scaled)
+
+
 def naive_energies(dis):
     """Independent oracle: batch-matrix enumeration, no incremental updates."""
     n = dis.n
@@ -184,15 +191,11 @@ class TestEnergyTableChecks:
     def test_jensen_table_length(self):
         dis = random_disorder(5, 1400)
         energies = enumerate_energies(dis)
+        scaled = enumerate_energies(scale_disorder(dis, 0.5))
         with pytest.raises(ShapeError):
-            jensen_gap_check(dis, 0.5, 1.0, energies=energies[:-1])
+            jensen_gap_check(dis, 0.5, 1.0, energies[:-1], scaled)
         with pytest.raises(ShapeError):
-            jensen_gap_check(dis, 0.5, 1.0, scaled_energies=np.r_[energies, 0.0])
-
-    def test_derivative_table_length(self):
-        dis = random_disorder(5, 1401)
-        with pytest.raises(ShapeError):
-            derivative_check(dis, 1.0, energies=enumerate_energies(dis)[:16])
+            jensen_gap_check(dis, 0.5, 1.0, energies, np.r_[scaled, 0.0])
 
 
 class TestParameterChecks:
@@ -211,15 +214,13 @@ class TestParameterChecks:
         with pytest.raises(DomainError):
             derivative_check(random_disorder(6, 1404), 1.0, step=step)
 
-    def test_jensen_alpha_checked_with_or_without_tables(self):
+    def test_jensen_alpha_checked_before_the_tables(self):
         dis = random_disorder(6, 1405)
         energies = enumerate_energies(dis)
         with pytest.raises(DomainError):
-            jensen_gap_check(dis, 10.0, 1.0)
+            jensen_gap_check(dis, 10.0, 1.0, energies, energies)
         with pytest.raises(DomainError):
-            jensen_gap_check(
-                dis, 10.0, 1.0, energies=energies, scaled_energies=energies
-            )
+            jensen_gap_check(dis, 10.0, 1.0, energies[:1], energies[:1])
 
 
 class TestScaling:
@@ -246,13 +247,13 @@ class TestScaling:
 
 class TestJensenGap:
     def test_alpha_zero(self):
-        lhs, rhs, holds = jensen_gap_check(random_disorder(6, 30), 0.0, 1.0)
+        lhs, rhs, holds = jensen(random_disorder(6, 30), 0.0, 1.0)
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)
         assert holds
 
     def test_beta_zero(self):
-        lhs, rhs, holds = jensen_gap_check(random_disorder(6, 31), 0.8, 0.0)
+        lhs, rhs, holds = jensen(random_disorder(6, 31), 0.8, 0.0)
         assert rhs == 0.0
         assert lhs >= -1e-12
         assert holds
@@ -261,7 +262,7 @@ class TestJensenGap:
         for seed in range(30):
             dis = random_disorder(8, 100 + seed)
             for beta in (0.5, 1.5):
-                lhs, rhs, holds = jensen_gap_check(dis, 0.5, beta)
+                lhs, rhs, holds = jensen(dis, 0.5, beta)
                 assert holds, (seed, beta, lhs, rhs)
 
 
