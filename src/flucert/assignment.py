@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .densities import QUAD_TOL, AffinityResult, _quad_or_raise
-from .errors import DomainError, NumericError, ShapeError
+from .densities import HALF_LINE, AffinityResult, integrate
+from .errors import DomainError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,16 @@ def hungarian(cm):
     return AssignmentResult(permutation=perm, cost=cost)
 
 
+def _size(n):
+    """The problem size as an int; anything but a whole n >= 1 raises DomainError."""
+    if not (1 <= n < math.inf and n == int(n)):  # NaN fails it too
+        raise DomainError(f"need a whole n >= 1, got {n}")
+    return int(n)
+
+
 def deformation(x, n):
     """Piecewise-linear profile: sqrt(n) x below 1/n, x + n^-1/2 - n^-1 above."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = _size(n)
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):  # NaN fails it too
         raise DomainError("the deformation profile is defined on x >= 0")
@@ -75,7 +80,7 @@ def invert_perturbation(a, alpha, n):
     The forward map is piecewise linear with breakpoint image
     a* = (1/n)(1 + alpha n^-1/2), so each branch inverts exactly.
     """
-    n = int(n)
+    n = _size(n)
     alpha = float(alpha)
     if not 0.0 <= alpha < math.inf:
         raise DomainError(f"need finite alpha >= 0, got {alpha}")
@@ -103,9 +108,9 @@ def perturbation_affinity(f, alpha, n):
     half line with eps = alpha/n, splitting at the deformation breakpoint 1/n
     where the slope jumps.
     """
-    if f.support != "half-line":
+    if f.support != HALF_LINE:
         raise DomainError("cost densities live on the half line")
-    n = int(n)
+    n = _size(n)
     alpha = float(alpha)
     eps = alpha / n
     if eps == 0.0:
@@ -129,30 +134,23 @@ def perturbation_affinity(f, alpha, n):
         )
 
     break_x = 1.0 / n
-    what = f"deformation affinity({f.name}, alpha={alpha}, n={n})"
-    v1, e1 = _quad_or_raise(integrand_low, lo, break_x, what)
-    v2, e2 = _quad_or_raise(integrand_high, break_x, hi, what)
-    value, err = v1 + v2, e1 + e2
-    if err > QUAD_TOL:
-        raise NumericError(
-            f"quadrature for {what} did not converge below {QUAD_TOL:g} "
-            f"(summed error estimate {err:g})",
-            partial=value,
-        )
+    value, err = integrate(
+        f"deformation affinity({f.name}, alpha={alpha}, n={n})",
+        (integrand_low, lo, break_x),
+        (integrand_high, break_x, hi),
+    )
     return AffinityResult(min(value, 1.0), err)
 
 
 def row_tail_probability(f, n):
     """P(min of n i.i.d. costs >= 1/n) = (upper-tail mass above 1/n)^n."""
-    if f.support != "half-line":
+    if f.support != HALF_LINE:
         raise DomainError("cost densities live on the half line")
-    n = int(n)
+    n = _size(n)
     hi = f.quad_range()[1]
-    tail, _err = _quad_or_raise(
-        lambda x: math.exp(-float(f.potential(x))),
-        1.0 / n,
-        hi,
+    tail, _err = integrate(
         f"row tail({f.name}, n={n})",
+        (lambda x: math.exp(-float(f.potential(x))), 1.0 / n, hi),
     )
     return min(tail, 1.0) ** n
 

@@ -148,8 +148,8 @@ def empirical_concentration_function(samples, l):
         raise DomainError("need at least one sample")
     if not float(l) >= 0.0:  # NaN fails it too
         raise DomainError(f"window length must be nonnegative, got {l}")
-    if not np.all(np.diff(samples) >= 0.0):
-        raise DomainError("samples must be sorted nondecreasing, with no NaN")
+    if not (np.all(np.isfinite(samples)) and np.all(np.diff(samples) >= 0.0)):
+        raise DomainError("samples must be finite and sorted nondecreasing")
     right = np.searchsorted(samples, samples + float(l), side="right")
     counts = right - np.arange(samples.size)
     return float(counts.max()) / float(samples.size)
@@ -214,6 +214,6 @@ def certify(samples_close_indicator, tv_bound, confidence, delta=0.0):
         delta=float(delta),
         p_close_hat=float(ind.mean()),
         p_close_slack=slack,
-        tv_bound=_check_unit(tv_bound, "tv_bound"),
+        tv_bound=float(tv_bound),
         confidence=float(confidence),
     )

@@ -39,7 +39,7 @@ class Density1D:
     the quadrature integrands call it on plain floats, the tests on arrays.
     The built-in potentials are plain arithmetic, which gives the same IEEE
     results on both and avoids NumPy-scalar dispatch in the integrands.
-    ``ppf`` is the inverse CDF backing the deterministic sampler.  Every
+    ``ppf`` is the inverse CDF behind ``sample_iid``.  Every
     integral runs over the fixed window ``quad_range()``: [-40, 40] on the
     line, [0, 41] on the half line.
     """
@@ -57,10 +57,6 @@ class Density1D:
         if self.support == FULL_LINE:
             return (-_TAIL, _TAIL)
         return (0.0, _TAIL + 1.0)
-
-    def sample(self, rng, size=None):
-        """Draw from the density; draw i depends only on the stream key and i."""
-        return self.ppf(uniform_open(rng, size))
 
 
 @dataclass(frozen=True)
@@ -114,19 +110,28 @@ def standard_density(name):
 
 
 def sample_iid(f, n, rng):
-    """n independent draws from f, deterministic given the seed stream."""
+    """n independent draws from f; draw i depends only on the stream key and i."""
     n = int(n)
     if n < 1:
         raise DomainError(f"need n >= 1 draws, got {n}")
-    return f.sample(rng, n)
+    return f.ppf(uniform_open(rng, n))
 
 
-def _quad_or_raise(integrand, lo, hi, what):
-    value, err = quad(integrand, lo, hi, epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200)
-    if err > QUAD_TOL:
+def integrate(what, *pieces):
+    """(value, err) summed over adaptive quadratures of ``(integrand, lo, hi)``.
+
+    Values and error estimates are each summed from 0.0.  The sum is accepted
+    only if its error estimate is at most ``QUAD_TOL``, so NaN fails too;
+    otherwise ``NumericError`` carries the summed value as ``partial``.
+    """
+    value = err = 0.0
+    for integrand, lo, hi in pieces:
+        v, e = quad(integrand, lo, hi, epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=200)
+        value += v
+        err += e
+    if not err <= QUAD_TOL:
         raise NumericError(
-            f"quadrature for {what} did not converge below {QUAD_TOL:g} "
-            f"(error estimate {err:g})",
+            f"quadrature for {what}: error estimate {err:g} above {QUAD_TOL:g}",
             partial=value,
         )
     return value, err
@@ -135,7 +140,7 @@ def _quad_or_raise(integrand, lo, hi, what):
 def normalization(f):
     """Integral of the density over its support (should be 1)."""
     lo, hi = f.quad_range()
-    return _quad_or_raise(lambda x: math.exp(-float(f.potential(x))), lo, hi, f.name)
+    return integrate(f.name, (lambda x: math.exp(-float(f.potential(x))), lo, hi))
 
 
 def hellinger_affinity(f, g):
@@ -144,14 +149,12 @@ def hellinger_affinity(f, g):
         raise DomainError(
             f"affinity needs matching supports, got {f.support} vs {g.support}"
         )
-    lo_f, hi_f = f.quad_range()
-    lo_g, hi_g = g.quad_range()
-    lo, hi = min(lo_f, lo_g), max(hi_f, hi_g)
+    lo, hi = f.quad_range()  # one window per support
 
     def integrand(x):
         return math.exp(-0.5 * (float(f.potential(x)) + float(g.potential(x))))
 
-    value, err = _quad_or_raise(integrand, lo, hi, f"affinity({f.name}, {g.name})")
+    value, err = integrate(f"affinity({f.name}, {g.name})", (integrand, lo, hi))
     return AffinityResult(min(value, 1.0), err)
 
 
@@ -175,7 +178,7 @@ def scaled_affinity(f, eps):
             -0.5 * (float(f.potential((1.0 + eps) * x)) + float(f.potential(x)))
         )
 
-    value, err = _quad_or_raise(integrand, lo, hi, f"scaled affinity({f.name}, {eps})")
+    value, err = integrate(f"scaled affinity({f.name}, {eps})", (integrand, lo, hi))
     return AffinityResult(min(value, 1.0), err)
 
 

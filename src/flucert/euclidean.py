@@ -31,6 +31,7 @@ from .rng import uniform_open
 
 TSP_EXACT_MAX = 15
 MATCHING_MAX = 16
+MAX_REJECTION = 10**6  # candidates one Rhee resampling draw may use
 
 @dataclass(frozen=True)
 class PointSet:
@@ -353,9 +354,7 @@ def rhee_mixture_affinity(vol, theta):
     return min(rho, 1.0)
 
 
-def rhee_coupling_sample(
-    n, alpha, beta, rng, probes=100000, max_rejection=10**6
-):
+def rhee_coupling_sample(n, alpha, beta, rng, probes=100000):
     """One draw of the resampling coupling on the unit square (d = 2).
 
     The first m = n//2 points are shared.  D is the set of square points
@@ -383,8 +382,6 @@ def rhee_coupling_sample(
     ):
         raise DomainError(f"probes must be a positive integer, got {probes!r}")
     probes = int(probes)
-    if not max_rejection >= 1:
-        raise DomainError(f"max_rejection must be at least 1, got {max_rejection}")
     m = n // 2
     radius = alpha * n ** (-1.0 / 2.0)  # alpha * n^(-1/d) with d = 2
     cutoff = radius * (1.0 + 1e-9)
@@ -415,9 +412,9 @@ def rhee_coupling_sample(
             attempts += batch
             if ok.any():
                 y = cand[int(np.argmax(ok))]
-            elif attempts >= max_rejection:
+            elif attempts >= MAX_REJECTION:
                 raise DegenerateRegionError(
-                    f"rejection sampling exceeded {max_rejection} attempts; "
+                    f"rejection sampling exceeded {MAX_REJECTION} attempts; "
                     f"region volume estimate {vol_hat:g}"
                 )
         x_prime[i] = y

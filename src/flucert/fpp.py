@@ -14,6 +14,7 @@ the graph distance of the edge from the source.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .coupling import PerturbationPlan, product_tv_bound
-from .densities import _quad_or_raise, scaled_affinity
+from .densities import HALF_LINE, integrate, scaled_affinity
 from .errors import ConfigError, DomainError, NumericError, ShapeError
 
 
@@ -54,9 +55,12 @@ class FppGrid:
             raise ShapeError(
                 f"v_weights must be {(self.width, self.height - 1)}, got {v.shape}"
             )
-        if not (np.all(h > 0.0) and np.all(v > 0.0)):
-            raise DomainError("all edge weights must be positive")
+        finite = h.max() < math.inf and v.max() < math.inf
+        if not (finite and 0.0 < h.min() and 0.0 < v.min()):  # NaN fails it too
+            raise DomainError("all edge weights must be finite and positive")
         for name, (x, y) in (("source", self.source), ("target", self.target)):
+            if not all(isinstance(c, numbers.Integral) for c in (x, y)):
+                raise ConfigError(f"{name} {x, y} needs integer coordinates")
             if not (0 <= x < self.width and 0 <= y < self.height):
                 raise ConfigError(f"{name} {x, y} outside the box")
         if tuple(self.source) == tuple(self.target):
@@ -77,12 +81,13 @@ class GeodesicResult:
     """Passage time with one minimizing self-avoiding path as witness.
 
     ``edge_list`` holds the path's flat edge indices in order from source to
-    target, and ``edge_weights`` their weights.
+    target, ``edge_weights`` their weights and ``box`` the grid's (width, height).
     """
 
     passage_time: float
     edge_list: np.ndarray
     edge_weights: np.ndarray
+    box: tuple
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ def passage_time(grid):
     src, tgt = int(ids[grid.source]), int(ids[grid.target])
     dist, pred = dijkstra(graph, directed=False, indices=src, return_predecessors=True)
     if not np.isfinite(dist[tgt]):
-        raise NumericError("target unreachable on a connected box")
+        raise NumericError("the passage time overflows to inf")
 
     backward = [tgt]
     while backward[-1] != src:
@@ -133,7 +138,7 @@ def passage_time(grid):
     lo = np.minimum(path[:-1], path[1:])
     vertical = np.abs(path[1:] - path[:-1]) == 1
     edges = np.where(vertical, (w - 1) * h + lo - lo // h, lo)
-    return GeodesicResult(float(dist[tgt]), edges, weights[edges])
+    return GeodesicResult(float(dist[tgt]), edges, weights[edges], (w, h))
 
 
 def _source_graph_distance(grid):
@@ -209,8 +214,10 @@ def ttq_lower_bound(geo, sched, m):
     The perturbed passage time is at most the original geodesic evaluated on
     the shrunken weights, so T - T' >= sum over those edges of
     eps * w / (1 + eps); truncating to the first m edges keeps it valid.  The
-    terms are summed left to right along the path.
+    terms are summed left to right along the path.  ``sched`` must fit ``geo.box``.
     """
+    if sched.h_values.shape != (geo.box[0] - 1, geo.box[1]):
+        raise ShapeError(f"schedule does not match the geodesic's box {geo.box}")
     m = int(m)
     if m < 0 or m > len(geo.edge_list):
         raise DomainError(f"m must lie in [0, {len(geo.edge_list)}], got {m}")
@@ -221,15 +228,15 @@ def ttq_lower_bound(geo, sched, m):
 
 def laplace_transform(density, theta):
     """E exp(-theta w) for an edge weight w with the given half-line density."""
-    if density.support != "half-line":
+    if density.support != HALF_LINE:
         raise DomainError("edge weight densities live on the half line")
-    lo, hi = density.quad_range()
     theta = float(theta)
-    value, _err = _quad_or_raise(
-        lambda x: math.exp(-theta * x - float(density.potential(x))),
-        lo,
-        hi,
+    if not 0.0 <= theta < math.inf:  # NaN fails it too
+        raise DomainError(f"need finite theta >= 0, got {theta}")
+    lo, hi = density.quad_range()
+    value, _err = integrate(
         f"Laplace transform({density.name}, theta={theta})",
+        (lambda x: math.exp(-theta * x - float(density.potential(x))), lo, hi),
     )
     return value
 

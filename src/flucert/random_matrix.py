@@ -10,6 +10,7 @@ log(1 + eps)), which is the deterministic gap the certificates use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ class MatrixEnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise DomainError(f"unknown ensemble kind {self.kind!r}")
+        sizes = (self.order, self.sample_count)
+        if not all(isinstance(k, numbers.Integral) for k in sizes):
+            raise DomainError(f"order and sample_count must be integers, got {sizes}")
         if self.order < 1:
             raise DomainError("order must be positive")
         if self.kind == "sample-covariance" and self.order > self.sample_count - 1:

@@ -20,6 +20,7 @@ from scipy.special import logsumexp
 from .errors import DomainError, ShapeError, SizeError
 
 MAX_SPINS = 20
+DERIVATIVE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -139,19 +140,17 @@ def free_energy(dis, beta):
     return result_from_energies(enumerate_energies(dis), beta)
 
 
-def disorder_scale_eps(n, alpha):
-    """Scaling eps with 1 + eps = 1/(1 - alpha/n), as seen by each coupling."""
+def _shrink(n, alpha):
+    """The factor 1 - alpha/n, for alpha/n in (-1/2, 1/2)."""
     shrink = 1.0 - float(alpha) / n
     if not 0.5 < shrink < 1.5:
         raise DomainError(f"alpha/n = {float(alpha) / n} must lie in (-1/2, 1/2)")
-    return 1.0 / shrink - 1.0
+    return shrink
 
 
 def scale_disorder(dis, alpha):
     """Divide every coupling by (1 - alpha/n)."""
-    factor = 1.0 - float(alpha) / dis.n
-    disorder_scale_eps(dis.n, alpha)  # validates the range
-    return SKDisorder(dis.n, dis.couplings / factor)
+    return SKDisorder(dis.n, dis.couplings / _shrink(dis.n, alpha))
 
 
 def jensen_gap_check(dis, alpha, beta, energies, scaled_energies):
@@ -162,33 +161,25 @@ def jensen_gap_check(dis, alpha, beta, energies, scaled_energies):
     ``energies`` and ``scaled_energies`` are the 2^n energy tables of the
     disorder and of its scaled copy, from ``enumerate_energies``.
     """
-    disorder_scale_eps(dis.n, alpha)  # validates alpha
+    shrink = _shrink(dis.n, alpha)
     _check_table_length(energies, dis.n)
     _check_table_length(scaled_energies, dis.n)
     base = result_from_energies(energies, beta)
     scaled = result_from_energies(scaled_energies, beta)
     lhs = scaled.free_energy - base.free_energy
-    rhs = (
-        float(beta)
-        * float(alpha)
-        * base.gibbs_energy
-        / (dis.n * (1.0 - float(alpha) / dis.n))
-    )
+    rhs = float(beta) * float(alpha) * base.gibbs_energy / (dis.n * shrink)
     return lhs, rhs, bool(lhs >= rhs - 1e-10)
 
 
-def derivative_check(dis, beta, step=1e-4):
+def derivative_check(dis, beta):
     """Finite-difference derivative of the free energy against <H>_beta."""
     beta = float(beta)
     if not 0.0 < beta < math.inf:
         raise DomainError(f"derivative check needs finite beta > 0, got {beta}")
-    step = float(step)
-    if not 0.0 < step < math.inf:
-        raise DomainError(f"derivative step must be finite and > 0, got {step}")
     energies = enumerate_energies(dis)
-    up = float(logsumexp((beta + step) * energies))
-    down = float(logsumexp((beta - step) * energies))
-    fd = (up - down) / (2.0 * step)
+    up = float(logsumexp((beta + DERIVATIVE_STEP) * energies))
+    down = float(logsumexp((beta - DERIVATIVE_STEP) * energies))
+    fd = (up - down) / (2.0 * DERIVATIVE_STEP)
     gibbs = result_from_energies(energies, beta).gibbs_energy
     agree = abs(fd - gibbs) <= 1e-5 * max(1.0, abs(gibbs))
     return fd, gibbs, bool(agree)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flucert import assignment
+from flucert import assignment, densities
 from flucert.assignment import (
     AssignmentResult,
     CostMatrix,
@@ -112,6 +112,11 @@ class TestDeformation:
         with pytest.raises(DomainError, match="alpha"):
             invert_perturbation(1.0, alpha, 10)
 
+    @pytest.mark.parametrize("n", [0, -4, 2.5, math.nan, math.inf])
+    def test_bad_size_rejected(self, n):
+        with pytest.raises(DomainError, match="whole n >= 1"):
+            invert_perturbation(np.array([0.5]), 1.0, n)
+
 
 class TestAffinity:
     @pytest.mark.parametrize("n", [10, 100, 1000])
@@ -129,10 +134,22 @@ class TestAffinity:
     def test_summed_error_is_checked(self, monkeypatch):
         # each piece is below the tolerance, their sum is not
         monkeypatch.setattr(
-            assignment, "_quad_or_raise", lambda *args: (0.5, 0.6 * QUAD_TOL)
+            densities, "quad", lambda *args, **kwargs: (0.5, 0.6 * QUAD_TOL)
         )
         with pytest.raises(NumericError):
             perturbation_affinity(EXPO, 1.0, 100)
+
+    @pytest.mark.parametrize(
+        "alpha, n", [(1.0, 0), (-1.0, -4), (1.0, 2.5), (1.0, math.nan)]
+    )
+    def test_affinity_size_rejected(self, alpha, n):
+        with pytest.raises(DomainError, match="whole n >= 1"):
+            perturbation_affinity(EXPO, alpha, n)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, math.nan, math.inf])
+    def test_row_tail_size_rejected(self, n):
+        with pytest.raises(DomainError, match="whole n >= 1"):
+            row_tail_probability(EXPO, n)
 
     def test_eps_domain(self):
         with pytest.raises(DomainError):
@@ -158,6 +175,10 @@ class TestGapCertificate:
     def test_nan_alpha_rejected_at_entry(self):
         with pytest.raises(DomainError, match="alpha"):
             gap_certificate(random_costs(6, 0), math.nan)
+
+    def test_empty_instance_rejected(self):
+        with pytest.raises(DomainError, match="whole n >= 1"):
+            gap_certificate(CostMatrix(0, np.zeros((0, 0))), 1.0)
 
     def test_solves_base_and_perturbed_instance(self, monkeypatch):
         seen = []

@@ -231,6 +231,13 @@ class TestConcentrationFunction:
         with pytest.raises(DomainError):
             empirical_concentration_function(np.array([0.0, math.nan, 2.0]), 0.5)
 
+    @pytest.mark.parametrize(
+        "samples", [[math.nan], [math.inf], [1.0, math.inf], [-math.inf, 0.0]]
+    )
+    def test_non_finite_samples_rejected(self, samples):
+        with pytest.raises(DomainError, match="finite"):
+            empirical_concentration_function(np.array(samples), 1.0)
+
     def test_requires_sorted(self):
         with pytest.raises(DomainError):
             empirical_concentration_function([2.0, 1.0], 0.5)

@@ -5,19 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from flucert import densities
 from flucert.assignment import perturbation_affinity, row_tail_probability
 from flucert.densities import (
+    QUAD_TOL,
     AffinityResult,
     exponential_rate_affinity,
     gaussian_scale_affinity,
     hellinger_affinity,
+    integrate,
     normalization,
     sample_iid,
     scaled_affinity,
     standard_density,
 )
-from flucert.errors import ConfigError, DomainError
+from flucert.errors import ConfigError, DomainError, NumericError
 from flucert.fpp import laplace_transform
 from flucert.rng import seed_stream
 from oracles import NUMPY_FORM_POTENTIALS
@@ -58,6 +62,44 @@ def test_normalization(density):
     value, err = normalization(density)
     assert abs(value - 1.0) <= 1e-6
     assert err < 1e-8
+
+
+def test_integrate_sums_values_and_errors():
+    pieces = [(lambda x: math.exp(-x), 0.0, 0.5), (lambda x: math.exp(-x), 0.5, 3.0)]
+    value, err = integrate("exp", *pieces)
+    parts = [quad(*p, epsabs=1e-12, epsrel=1e-12, limit=200) for p in pieces]
+    assert value == 0.0 + parts[0][0] + parts[1][0]
+    assert err == 0.0 + parts[0][1] + parts[1][1]
+    assert value == pytest.approx(-math.expm1(-3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "reported, accepted",
+    [(QUAD_TOL, True), (1.01 * QUAD_TOL, False), (math.nan, False), (math.inf, False)],
+)
+def test_integrate_accepts_only_errors_within_tol(monkeypatch, reported, accepted):
+    monkeypatch.setattr(densities, "quad", lambda *args, **kwargs: (0.25, reported))
+    if accepted:
+        assert integrate("stub", (math.exp, 0.0, 1.0)) == (0.25, reported)
+        return
+    with pytest.raises(NumericError, match="stub") as info:
+        integrate("stub", (math.exp, 0.0, 1.0))
+    assert info.value.partial == 0.25
+
+
+def test_nan_error_estimate_fails_every_integral(monkeypatch):
+    monkeypatch.setattr(densities, "quad", lambda *args, **kwargs: (0.5, math.nan))
+    expo = standard_density("exponential-rate-1")
+    for call in (
+        lambda: normalization(expo),
+        lambda: hellinger_affinity(expo, expo),
+        lambda: scaled_affinity(expo, 0.123456789),
+        lambda: perturbation_affinity(expo, 1.0, 100),
+        lambda: row_tail_probability(expo, 100),
+        lambda: laplace_transform(expo, 1.0),
+    ):
+        with pytest.raises(NumericError):
+            call()
 
 
 def test_sampler_support_and_determinism(density):
@@ -180,7 +222,7 @@ class TestPlainArithmeticPotentials:
     """The plain-arithmetic potentials give every quadrature bit for bit."""
 
     def test_same_values_on_floats_and_arrays(self, density):
-        x = np.concatenate([density.sample(seed_stream(8, 1, 2), 64), [0.0, 39.5]])
+        x = np.concatenate([sample_iid(density, 64, seed_stream(8, 1, 2)), [0.0, 39.5]])
         old = NUMPY_FORM_POTENTIALS[density.name]
         np.testing.assert_array_equal(density.potential(x), old(x))
         for v in x.tolist():

@@ -6,8 +6,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from flucert import euclidean
 from flucert.densities import standard_density
 from flucert.errors import (
+    DegenerateRegionError,
     DomainError,
     InternalConsistencyError,
     ShapeError,
@@ -406,9 +408,8 @@ class TestRheeCoupling:
         np.testing.assert_array_equal(xp.points, oxp.points)
         assert rc == orc
 
-    @pytest.mark.parametrize("max_rejection", [0, 0.5, -1, float("nan")])
-    def test_max_rejection_at_least_one(self, max_rejection):
-        with pytest.raises(DomainError):
-            rhee_coupling_sample(
-                12, 0.3, 0.5, seed_stream(1), probes=100, max_rejection=max_rejection
-            )
+    def test_rejection_budget_exhausted(self, monkeypatch):
+        # a region of volume about 2e-4 and a budget of one candidate batch
+        monkeypatch.setattr(euclidean, "MAX_REJECTION", 1)
+        with pytest.raises(DegenerateRegionError, match="rejection sampling"):
+            rhee_coupling_sample(12, 0.01, 3.0, seed_stream(1))

@@ -138,12 +138,30 @@ class TestPassageTime:
         assert_valid_witness(geo, grid)
 
     def test_unreachable_target_raises(self):
-        grid = unit_grid(3, 3, (0, 0), (2, 2))
-        h, v = grid.h_weights.copy(), grid.v_weights.copy()
-        h[1, 2] = np.inf  # (1, 2)-(2, 2)
-        v[2, 1] = np.inf  # (2, 1)-(2, 2)
+        # finite weights whose sums overflow leave the target at distance inf
+        h, v = np.full((2, 3), 1e308), np.full((3, 2), 1e308)
         with pytest.raises(NumericError):
             passage_time(FppGrid(3, 3, h, v, (0, 0), (2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["h", "v"])
+    def test_weights_must_be_finite_and_positive(self, bad, field):
+        h, v = np.ones((2, 3)), np.ones((3, 2))
+        (h if field == "h" else v)[1, 1] = bad
+        with pytest.raises(DomainError):
+            FppGrid(3, 3, h, v, (0, 0), (2, 2))
+
+    @pytest.mark.parametrize("source", [(0.5, 1), (0, 1.0), (math.nan, 1)])
+    def test_endpoints_must_be_integers(self, source):
+        with pytest.raises(ConfigError):
+            unit_grid(3, 3, source, (2, 2))
+
+    def test_numpy_integer_endpoints_accepted(self):
+        grid = unit_grid(3, 3, (np.int64(0), np.int64(1)), (2, 2))
+        assert grid.source == (0, 1) and type(grid.source[0]) is int
+
+    def test_geodesic_records_its_box(self):
+        assert passage_time(unit_grid(5, 3, (0, 1), (4, 1))).box == (5, 3)
 
     def test_grid_validation(self):
         with pytest.raises(ShapeError):
@@ -252,6 +270,26 @@ class TestGapBound:
                 grid, sched, path, m
             )
 
+    def test_matching_box_gives_the_same_gap(self):
+        grid = unit_grid(4, 4, (0, 2), (3, 2))
+        geo = passage_time(grid)
+        gap = ttq_lower_bound(geo, graded_schedule(grid, 0.5, 16), len(geo.edge_list))
+        assert gap == 0.452462474412761  # the value before the box was recorded
+
+    @pytest.mark.parametrize("width, height", [(5, 5), (5, 4), (4, 5)])
+    def test_gap_rejects_a_schedule_of_another_box(self, width, height):
+        geo = passage_time(unit_grid(4, 4, (0, 2), (3, 2)))
+        other = unit_grid(width, height, (0, 2), (width - 1, 2))
+        with pytest.raises(ShapeError):
+            ttq_lower_bound(geo, graded_schedule(other, 0.5, 16), len(geo.edge_list))
+
+    def test_gap_rejects_the_transposed_box(self):
+        geo = passage_time(unit_grid(3, 5, (0, 2), (2, 2)))
+        sched = graded_schedule(unit_grid(5, 3, (0, 1), (4, 1)), 0.5, 16)
+        assert sched.flat_values().size == 22  # as many edges as the 3 x 5 box
+        with pytest.raises(ShapeError):
+            ttq_lower_bound(geo, sched, len(geo.edge_list))
+
     def test_m_domain(self):
         grid = unit_grid(3, 3, (0, 0), (2, 2))
         geo = passage_time(grid)
@@ -266,6 +304,12 @@ class TestLaplace:
         assert laplace_transform(EXPO, theta) == pytest.approx(
             1.0 / (1.0 + theta), rel=1e-9
         )
+
+    @pytest.mark.parametrize("theta", [-1.0, -50.0, math.nan, math.inf])
+    def test_theta_must_be_finite_and_nonnegative(self, theta):
+        # a fixed window would truncate the growing integrand at theta < 0
+        with pytest.raises(DomainError, match="theta"):
+            laplace_transform(EXPO, theta)
 
     @pytest.mark.parametrize("b", [math.nan, 0.0, -1.0])
     def test_path_weight_tail_needs_positive_b(self, b):

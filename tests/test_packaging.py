@@ -1,6 +1,7 @@
-"""Tests for the package metadata in pyproject.toml and the export list."""
+"""Tests for the package metadata in pyproject.toml."""
 
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -20,10 +21,6 @@ def test_every_script_target_is_callable():
         assert callable(func), (name, target)
 
 
-def test_every_export_resolves():
-    assert len(flucert.__all__) == len(set(flucert.__all__))
-    for name in flucert.__all__:
-        assert hasattr(flucert, name), name
-    namespace = {}
-    exec("from flucert import *", namespace)
-    assert set(flucert.__all__) <= set(namespace)
+def test_package_binds_only_modules():
+    public = {k: v for k, v in vars(flucert).items() if not k.startswith("_")}
+    assert all(isinstance(v, types.ModuleType) for v in public.values()), public

@@ -83,11 +83,20 @@ class TestSpec:
             ("sample-covariance", 4, 4),
             ("sample-covariance", 1, 1),
             ("gue", 3, 0),
+            ("wigner", 3.0, 0),
+            ("sample-covariance", 2.5, 10),
+            ("sample-covariance", math.nan, 10),
+            ("sample-covariance", 3, 10.0),
+            ("sample-covariance", 3, math.inf),
         ],
     )
     def test_invalid_specs_rejected(self, kind, order, samples):
         with pytest.raises(DomainError):
             MatrixEnsembleSpec(kind, order, samples)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = covariance_spec(np.int64(4), np.int32(9))
+        assert spec.n_inputs == 36
 
 
 class TestScalingShift:
