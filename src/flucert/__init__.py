@@ -8,8 +8,9 @@ probability above the certified bound".
 
 Import the modules, not the package: ``coupling`` (TV bounds and the
 certificate), ``densities`` (densities, sampling and affinity quadrature),
-``rng`` (seed streams), ``errors`` (typed errors), and one module per model:
-``assignment``, ``euclidean``, ``fpp``, ``random_matrix``, ``spin_glass``.
+``rng`` (seed streams), ``errors`` (typed errors, and ``whole``, the one check
+of every size, count and index), and one module per model: ``assignment``,
+``euclidean``, ``fpp``, ``random_matrix``, ``spin_glass``.
 """
 
 __version__ = "0.1.0"

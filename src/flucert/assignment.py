@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .densities import HALF_LINE, AffinityResult, integrate
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, whole
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class CostMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", whole(self.n, "n"))
         a = np.asarray(self.entries, dtype=float)
         if a.shape != (self.n, self.n):
             raise ShapeError(f"expected {(self.n, self.n)} cost matrix, got {a.shape}")
@@ -56,16 +57,9 @@ def hungarian(cm):
     return AssignmentResult(permutation=perm, cost=cost)
 
 
-def _size(n):
-    """The problem size as an int; anything but a whole n >= 1 raises DomainError."""
-    if not (1 <= n < math.inf and n == int(n)):  # NaN fails it too
-        raise DomainError(f"need a whole n >= 1, got {n}")
-    return int(n)
-
-
 def deformation(x, n):
     """Piecewise-linear profile: sqrt(n) x below 1/n, x + n^-1/2 - n^-1 above."""
-    n = _size(n)
+    n = whole(n, "n")
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):  # NaN fails it too
         raise DomainError("the deformation profile is defined on x >= 0")
@@ -80,7 +74,7 @@ def invert_perturbation(a, alpha, n):
     The forward map is piecewise linear with breakpoint image
     a* = (1/n)(1 + alpha n^-1/2), so each branch inverts exactly.
     """
-    n = _size(n)
+    n = whole(n, "n")
     alpha = float(alpha)
     if not 0.0 <= alpha < math.inf:
         raise DomainError(f"need finite alpha >= 0, got {alpha}")
@@ -110,7 +104,7 @@ def perturbation_affinity(f, alpha, n):
     """
     if f.support != HALF_LINE:
         raise DomainError("cost densities live on the half line")
-    n = _size(n)
+    n = whole(n, "n")
     alpha = float(alpha)
     eps = alpha / n
     if eps == 0.0:
@@ -146,7 +140,7 @@ def row_tail_probability(f, n):
     """P(min of n i.i.d. costs >= 1/n) = (upper-tail mass above 1/n)^n."""
     if f.support != HALF_LINE:
         raise DomainError("cost densities live on the half line")
-    n = _size(n)
+    n = whole(n, "n")
     hi = f.quad_range()[1]
     tail, _err = integrate(
         f"row tail({f.name}, n={n})",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, whole
 from .rng import uniform_open
 
 PLAN_KINDS = ("scale", "mixing", "nonlinear", "edge-graded")
@@ -96,9 +96,7 @@ def bernoulli_mixing_coupling(n, alpha, rng):
     2n uniforms gives the coin flips (first half) and the forcing events
     (second half); both vectors are int8.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1 coordinates, got {n}")
+    n = whole(n, "n")
     eps = float(alpha) / math.sqrt(n)
     if not 0.0 <= eps < 1.0:
         raise DomainError(f"alpha / sqrt(n) = {eps} must lie in [0, 1)")
@@ -114,9 +112,7 @@ def bernoulli_exact_tv(n, eps):
     Evaluates (1/2) sum_k C(n,k) |2^-n - ((1+eps)/2)^k ((1-eps)/2)^(n-k)|
     with log-space binomials and compensated summation.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = whole(n, "n")
     if n > 100000:
         raise SizeError(f"n = {n} risks overflow; supported up to 100000")
     eps = float(eps)
@@ -157,9 +153,7 @@ def empirical_concentration_function(samples, l):
 
 def hoeffding_slack(n, confidence):
     """Two-sided Hoeffding deviation for a mean of n indicator samples."""
-    n = int(n)
-    if n < 1:
-        raise DomainError("need at least one sample")
+    n = whole(n, "n")
     confidence = float(confidence)
     if not 0.0 < confidence < 1.0:
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
@@ -203,10 +197,7 @@ def certify(samples_close_indicator, tv_bound, confidence, delta=0.0):
     stochastic error in the certificate is the closeness estimate, which is
     inflated by a two-sided Hoeffding correction at the given confidence.
     """
-    ind = np.asarray(samples_close_indicator)
-    if ind.size == 0:
-        raise DomainError("need a nonempty indicator vector")
-    ind = ind.astype(float)
+    ind = np.asarray(samples_close_indicator, dtype=float)
     if np.any((ind != 0.0) & (ind != 1.0)):
         raise DomainError("indicators must be 0/1")
     slack = hoeffding_slack(ind.size, confidence)

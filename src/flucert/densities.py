@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, whole
 from .rng import uniform_open
 
 FULL_LINE = "full-line"
@@ -69,7 +69,7 @@ class AffinityResult:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"affinity {self.rho} outside [0, 1]")
-        if self.quadrature_error_estimate < 0.0:
+        if not self.quadrature_error_estimate >= 0.0:  # NaN fails it too
             raise DomainError("error estimate must be nonnegative")
 
 
@@ -111,10 +111,7 @@ def standard_density(name):
 
 def sample_iid(f, n, rng):
     """n independent draws from f; draw i depends only on the stream key and i."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1 draws, got {n}")
-    return f.ppf(uniform_open(rng, n))
+    return f.ppf(uniform_open(rng, whole(n, "n")))
 
 
 def integrate(what, *pieces):
@@ -182,17 +179,21 @@ def scaled_affinity(f, eps):
     return AffinityResult(min(value, 1.0), err)
 
 
+def _check_positive(**values):
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:  # NaN fails it too
+            raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
 def gaussian_scale_affinity(sigma1, sigma2):
     """Closed form for centered Gaussians: sqrt(2 s1 s2 / (s1^2 + s2^2))."""
-    if sigma1 <= 0.0 or sigma2 <= 0.0:
-        raise DomainError("standard deviations must be positive")
+    _check_positive(sigma1=sigma1, sigma2=sigma2)
     rho = math.sqrt(2.0 * sigma1 * sigma2 / (sigma1**2 + sigma2**2))
     return AffinityResult(min(rho, 1.0), 0.0)
 
 
 def exponential_rate_affinity(rate1, rate2):
     """Closed form for exponentials: 2 sqrt(r1 r2) / (r1 + r2)."""
-    if rate1 <= 0.0 or rate2 <= 0.0:
-        raise DomainError("rates must be positive")
+    _check_positive(rate1=rate1, rate2=rate2)
     rho = 2.0 * math.sqrt(rate1 * rate2) / (rate1 + rate2)
     return AffinityResult(min(rho, 1.0), 0.0)

@@ -1,4 +1,14 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and its one count check.
+
+Every size, count and index a caller passes in enters through ``whole``.
+It accepts Python and NumPy integers only: never a bool, and never a float,
+not even a whole one such as 4.0.  Anything else, and an integer outside the
+range the argument allows, raises ``DomainError`` naming the argument, so no
+count is truncated and none fails deeper in.
+"""
+
+import math
+import operator
 
 
 class CertToolError(Exception):
@@ -50,3 +60,21 @@ class InequalityViolationError(CertToolError):
     def __init__(self, message, details=None):
         super().__init__(message)
         self.details = details or {}
+
+
+def whole(value, name, low=1, high=math.inf):
+    """``operator.index(value)`` if ``value`` is an integer, not a bool, in [low, high).
+
+    Anything else (a bool, any float, NaN, inf, a str, an integer outside the
+    range) raises ``DomainError`` naming the argument ``name``.
+    """
+    if type(value) is not bool:
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if low <= n < high:
+                return n
+    span = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+    raise DomainError(f"need a whole {name} {span}, got {value!r}")

@@ -11,7 +11,6 @@ point.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +25,7 @@ from .errors import (
     InternalConsistencyError,
     ShapeError,
     SizeError,
+    whole,
 )
 from .rng import uniform_open
 
@@ -41,6 +41,7 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", whole(self.dim, "dim"))
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ShapeError(f"points must be (n, {self.dim}), got {pts.shape}")
@@ -298,6 +299,8 @@ def scaling_coupling(ps, alpha, r, kind, density):
     re-evaluating the functional on the scaled points; disagreement beyond
     1e-9 relative means the functional is not homogeneous of degree r.
     """
+    if not 0.0 < r < math.inf:  # NaN fails it too
+        raise DomainError(f"degree r must be finite and positive, got {r}")
     n = ps.n
     eps = float(alpha) / math.sqrt(n)
     if not 0.0 <= eps < 0.5:
@@ -306,7 +309,7 @@ def scaling_coupling(ps, alpha, r, kind, density):
     identity_value = base.value / (1.0 + eps) ** r
     rescaled = evaluate_functional(ps.scaled(1.0 / (1.0 + eps)), kind)
     tol = 1e-9 * max(1.0, abs(identity_value))
-    if abs(rescaled.value - identity_value) > tol:
+    if not abs(rescaled.value - identity_value) <= tol:  # NaN fails it too
         raise InternalConsistencyError(
             f"{kind} is not homogeneous of degree {r}: identity gives "
             f"{identity_value!r}, re-evaluation gives {rescaled.value!r}"
@@ -366,22 +369,14 @@ def rhee_coupling_sample(n, alpha, beta, rng, probes=100000):
     1e-9 and the ``<= radius`` test on the returned distance alone decides
     membership in D.
     """
-    n = int(n)
-    if n < 8:
-        raise DomainError(f"need n >= 8, got {n}")
+    n = whole(n, "n", 8)
+    probes = whole(probes, "probes")
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     theta = float(beta) / math.sqrt(n)
     if not 0.0 <= theta < 1.0:
         raise DomainError(f"beta n^-1/2 = {theta} must lie in [0, 1)")
-    if (
-        isinstance(probes, bool)
-        or not isinstance(probes, numbers.Integral)
-        or probes < 1
-    ):
-        raise DomainError(f"probes must be a positive integer, got {probes!r}")
-    probes = int(probes)
     m = n // 2
     radius = alpha * n ** (-1.0 / 2.0)  # alpha * n^(-1/d) with d = 2
     cutoff = radius * (1.0 + 1e-9)

@@ -14,7 +14,6 @@ the graph distance of the edge from the source.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .coupling import PerturbationPlan, product_tv_bound
 from .densities import HALF_LINE, integrate, scaled_affinity
-from .errors import ConfigError, DomainError, NumericError, ShapeError
+from .errors import ConfigError, DomainError, NumericError, ShapeError, whole
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,8 @@ class FppGrid:
     target: tuple
 
     def __post_init__(self):
-        if self.width < 2 or self.height < 2:
-            raise ConfigError("box needs at least 2 vertices per side")
+        for side in ("width", "height"):
+            object.__setattr__(self, side, whole(getattr(self, side), side, 2))
         h = np.asarray(self.h_weights, dtype=float)
         v = np.asarray(self.v_weights, dtype=float)
         if h.shape != (self.width - 1, self.height):
@@ -58,17 +57,17 @@ class FppGrid:
         finite = h.max() < math.inf and v.max() < math.inf
         if not (finite and 0.0 < h.min() and 0.0 < v.min()):  # NaN fails it too
             raise DomainError("all edge weights must be finite and positive")
-        for name, (x, y) in (("source", self.source), ("target", self.target)):
-            if not all(isinstance(c, numbers.Integral) for c in (x, y)):
-                raise ConfigError(f"{name} {x, y} needs integer coordinates")
-            if not (0 <= x < self.width and 0 <= y < self.height):
-                raise ConfigError(f"{name} {x, y} outside the box")
-        if tuple(self.source) == tuple(self.target):
+        for name in ("source", "target"):
+            x, y = getattr(self, name)
+            point = (
+                whole(x, f"{name} x", 0, self.width),
+                whole(y, f"{name} y", 0, self.height),
+            )
+            object.__setattr__(self, name, point)
+        if self.source == self.target:
             raise ConfigError("source and target must differ")
         object.__setattr__(self, "h_weights", h)
         object.__setattr__(self, "v_weights", v)
-        object.__setattr__(self, "source", tuple(int(c) for c in self.source))
-        object.__setattr__(self, "target", tuple(int(c) for c in self.target))
 
 
 def _flat(h_part, v_part):
@@ -152,6 +151,7 @@ def _source_graph_distance(grid):
 
 def graded_eps(k, alpha, n):
     """Strength alpha / ((k + 1) sqrt(log n)) at graph distance k."""
+    n = whole(n, "n", 2)  # so that log n > 0
     return float(alpha) / ((np.asarray(k, dtype=float) + 1.0) * math.sqrt(math.log(n)))
 
 
@@ -161,9 +161,7 @@ def graded_schedule(grid, alpha, n):
     The strength is largest at the source, alpha / sqrt(log n), and must stay
     below 1/2 for the per-edge affinities to exist.
     """
-    n = int(n)
-    if n < 5:
-        raise DomainError(f"need n >= 5 so that log n > 1, got {n}")
+    n = whole(n, "n", 5)  # so that log n > 1
     if not float(alpha) > 0.0:
         raise DomainError("alpha must be positive")
     eps0 = graded_eps(0, alpha, n)
@@ -218,9 +216,7 @@ def ttq_lower_bound(geo, sched, m):
     """
     if sched.h_values.shape != (geo.box[0] - 1, geo.box[1]):
         raise ShapeError(f"schedule does not match the geodesic's box {geo.box}")
-    m = int(m)
-    if m < 0 or m > len(geo.edge_list):
-        raise DomainError(f"m must lie in [0, {len(geo.edge_list)}], got {m}")
+    m = whole(m, "m", 0, len(geo.edge_list) + 1)
     eps = sched.flat_values()[geo.edge_list[:m]]
     terms = np.r_[0.0, eps * geo.edge_weights[:m] / (1.0 + eps)]
     return float(np.cumsum(terms)[-1])  # in path order; np.sum adds pairwise
@@ -247,9 +243,7 @@ def path_weight_tail(density, r, b):
     Chernoff at theta = 1/b gives (e * phi(1/b))^r with phi the Laplace
     transform of the weight law; the result is capped at 1.
     """
-    r = int(r)
-    if r < 1:
-        raise DomainError(f"need r >= 1, got {r}")
+    r = whole(r, "r")
     b = float(b)
     if not b > 0.0:  # NaN fails it too
         raise DomainError(f"need b > 0, got {b}")

@@ -10,12 +10,11 @@ log(1 + eps)), which is the deterministic gap the certificates use.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankError, ShapeError
+from .errors import DomainError, RankError, ShapeError, whole
 
 ENSEMBLE_KINDS = ("wigner", "sample-covariance")
 
@@ -35,11 +34,9 @@ class MatrixEnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise DomainError(f"unknown ensemble kind {self.kind!r}")
-        sizes = (self.order, self.sample_count)
-        if not all(isinstance(k, numbers.Integral) for k in sizes):
-            raise DomainError(f"order and sample_count must be integers, got {sizes}")
-        if self.order < 1:
-            raise DomainError("order must be positive")
+        object.__setattr__(self, "order", whole(self.order, "order"))
+        count = whole(self.sample_count, "sample_count", 0)
+        object.__setattr__(self, "sample_count", count)
         if self.kind == "sample-covariance" and self.order > self.sample_count - 1:
             raise DomainError(
                 "mean centering drops one rank: need order <= sample_count - 1"

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import whole
 
 _MAX_INDEX = 2**32
 
@@ -12,21 +12,17 @@ def seed_stream(seed, replicate=0, coordinate=0):
 
     Streams for distinct (replicate, coordinate) pairs are statistically
     independent, and the same triple always reproduces the same draws
-    bit-exactly.  Replicate and coordinate indices must fit in 32 bits.  The
-    128-bit Philox key is the uint64 pair (seed, replicate << 32 | coordinate),
-    passed as an array: NumPy converts a tuple key through float64 when one
-    word is at least 2**63 and the other is not, which merged distinct keys.
-    Every call builds a fresh bit generator, so streams share no state.
+    bit-exactly.  The seed is an integer in [0, 2**64), and the replicate and
+    coordinate indices are integers in [0, 2**32); anything else, a whole
+    float included, raises ``DomainError``.  The 128-bit Philox key is the uint64
+    pair (seed, replicate << 32 | coordinate), passed as an array: NumPy
+    converts a tuple key through float64 when one word is at least 2**63 and
+    the other is not, which merged distinct keys.  Every call builds a fresh
+    bit generator, so streams share no state.
     """
-    seed = int(seed)
-    replicate = int(replicate)
-    coordinate = int(coordinate)
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed}")
-    if not 0 <= replicate < _MAX_INDEX:
-        raise DomainError(f"replicate index must be below 2**32, got {replicate}")
-    if not 0 <= coordinate < _MAX_INDEX:
-        raise DomainError(f"coordinate index must be below 2**32, got {coordinate}")
+    seed = whole(seed, "seed", 0, 2**64)
+    replicate = whole(replicate, "replicate", 0, _MAX_INDEX)
+    coordinate = whole(coordinate, "coordinate", 0, _MAX_INDEX)
     key = np.array((seed, (replicate << 32) | coordinate), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DomainError, ShapeError, SizeError
+from .errors import DomainError, ShapeError, SizeError, whole
 
 MAX_SPINS = 20
 DERIVATIVE_STEP = 1e-4
@@ -31,6 +31,7 @@ class SKDisorder:
     couplings: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", whole(self.n, "n"))
         g = np.asarray(self.couplings, dtype=float)
         expected = self.n * (self.n - 1) // 2
         if g.ndim != 1 or g.size != expected:

@@ -208,6 +208,25 @@ def test_affinity_result_validation():
         AffinityResult(1.2, 0.0)
     with pytest.raises(DomainError):
         AffinityResult(0.5, -1e-9)
+    with pytest.raises(DomainError):
+        AffinityResult(0.5, math.nan)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "affinity, name, position",
+    [
+        (gaussian_scale_affinity, "sigma1", 0),
+        (gaussian_scale_affinity, "sigma2", 1),
+        (exponential_rate_affinity, "rate1", 0),
+        (exponential_rate_affinity, "rate2", 1),
+    ],
+)
+def test_closed_form_parameters_checked_at_entry(affinity, name, position, bad):
+    args = [1.0, 1.0]
+    args[position] = bad
+    with pytest.raises(DomainError, match=f"{name} must be finite and positive"):
+        affinity(*args)
 
 
 def numpy_form(f):

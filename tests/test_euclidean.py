@@ -316,6 +316,24 @@ class TestScalingCoupling:
         with pytest.raises(DomainError):
             scaling_coupling(random_points(8, 25), 0.5, 1, "tsp-2opt", f)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_degree_checked_at_entry(self, r):
+        f = standard_density("std-gaussian")
+        with pytest.raises(DomainError, match="degree r"):
+            scaling_coupling(random_points(8, 26), 0.5, r, "nn-sum", f)
+
+    def test_nan_rescaled_value_detected(self, monkeypatch):
+        calls = []
+
+        def nan_on_rescaled(ps, kind):
+            calls.append(ps)
+            return FunctionalValue(1.0 if len(calls) == 1 else math.nan, None)
+
+        monkeypatch.setattr(euclidean, "evaluate_functional", nan_on_rescaled)
+        f = standard_density("std-gaussian")
+        with pytest.raises(InternalConsistencyError):
+            scaling_coupling(random_points(8, 27), 0.5, 1, "nn-sum", f)
+
 
 class TestRheeCoupling:
     def test_beta_zero_identity(self):

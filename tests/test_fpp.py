@@ -153,7 +153,7 @@ class TestPassageTime:
 
     @pytest.mark.parametrize("source", [(0.5, 1), (0, 1.0), (math.nan, 1)])
     def test_endpoints_must_be_integers(self, source):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             unit_grid(3, 3, source, (2, 2))
 
     def test_numpy_integer_endpoints_accepted(self):
