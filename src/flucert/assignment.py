@@ -1,7 +1,7 @@
 """The random assignment problem and its nonlinear cost-deformation coupling.
 
-Costs are deformed through y -> y + (alpha/n) * deformation(y), where the
-deformation profile is steep (slope sqrt(n)) below 1/n and unit-slope above.
+Costs are deformed through y -> y + (alpha/n) * d(y), where the deformation
+profile d is steep (slope sqrt(n)) below 1/n and unit-slope above.
 The map is piecewise linear, so perturbed costs come from a closed-form
 inversion rather than a root finder, and rows whose minimum cost is at least
 1/n contribute a guaranteed per-entry gap to the optimal assignment cost.
@@ -57,19 +57,8 @@ def hungarian(cm):
     return AssignmentResult(permutation=perm, cost=cost)
 
 
-def deformation(x, n):
-    """Piecewise-linear profile: sqrt(n) x below 1/n, x + n^-1/2 - n^-1 above."""
-    n = whole(n, "n")
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0.0):  # NaN fails it too
-        raise DomainError("the deformation profile is defined on x >= 0")
-    root_n = math.sqrt(n)
-    out = np.where(x <= 1.0 / n, root_n * x, x + 1.0 / root_n - 1.0 / n)
-    return float(out) if out.ndim == 0 else out
-
-
 def invert_perturbation(a, alpha, n):
-    """Unique y >= 0 with y + (alpha/n) deformation(y) = a, in closed form.
+    """Unique y >= 0 with y + (alpha/n) d(y) = a, in closed form.
 
     The forward map is piecewise linear with breakpoint image
     a* = (1/n)(1 + alpha n^-1/2), so each branch inverts exactly.

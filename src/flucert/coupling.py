@@ -7,9 +7,8 @@ The central inequality: for X, Y on one probability space and any interval
     P(a <= X <= b) <= (1 + P(|X - Y| <= b - a) + d_TV(law X, law Y)) / 2.
 
 Everything in this module feeds that bound: analytic TV upper bounds from
-affinity products, Monte-Carlo estimates of the closeness probability with a
-distribution-free confidence correction, and the sliding-window estimator of
-the empirical concentration function.
+affinity products, and Monte-Carlo estimates of the closeness probability
+with a distribution-free confidence correction.
 """
 
 from __future__ import annotations
@@ -78,14 +77,6 @@ def product_tv_bound(plan):
     return math.sqrt(0.0 - math.expm1(min(log_sq, 0.0)))
 
 
-def bernoulli_coordinate_affinity(eps):
-    """Affinity between Bernoulli(1/2) and Bernoulli((1+eps)/2)."""
-    eps = float(eps)
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(f"eps must lie in [0, 1), got {eps}")
-    return 0.5 * (math.sqrt(1.0 + eps) + math.sqrt(1.0 - eps))
-
-
 def bernoulli_mixing_coupling(n, alpha, rng):
     """Couple fair coin flips X with the upward mixture X'.
 
@@ -132,28 +123,9 @@ def bernoulli_exact_tv(n, eps):
     return 0.5 * math.fsum(diffs.tolist())
 
 
-def empirical_concentration_function(samples, l):
-    """Largest fraction of samples inside any closed interval of length l.
-
-    ``samples`` must be sorted.  A two-pointer sweep over windows anchored at
-    sample points realizes the exact supremum of the empirical measure over
-    closed intervals; ties at window edges count inclusively.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise DomainError("need at least one sample")
-    if not float(l) >= 0.0:  # NaN fails it too
-        raise DomainError(f"window length must be nonnegative, got {l}")
-    if not (np.all(np.isfinite(samples)) and np.all(np.diff(samples) >= 0.0)):
-        raise DomainError("samples must be finite and sorted nondecreasing")
-    right = np.searchsorted(samples, samples + float(l), side="right")
-    counts = right - np.arange(samples.size)
-    return float(counts.max()) / float(samples.size)
-
-
 def hoeffding_slack(n, confidence):
     """Two-sided Hoeffding deviation for a mean of n indicator samples."""
-    n = whole(n, "n")
+    n = whole(n, "indicator count")
     confidence = float(confidence)
     if not 0.0 < confidence < 1.0:
         raise DomainError(f"confidence must lie in (0, 1), got {confidence}")

@@ -134,27 +134,6 @@ def integrate(what, *pieces):
     return value, err
 
 
-def normalization(f):
-    """Integral of the density over its support (should be 1)."""
-    lo, hi = f.quad_range()
-    return integrate(f.name, (lambda x: math.exp(-float(f.potential(x))), lo, hi))
-
-
-def hellinger_affinity(f, g):
-    """Hellinger affinity: the integral of sqrt(f * g) over the shared support."""
-    if f.support != g.support:
-        raise DomainError(
-            f"affinity needs matching supports, got {f.support} vs {g.support}"
-        )
-    lo, hi = f.quad_range()  # one window per support
-
-    def integrand(x):
-        return math.exp(-0.5 * (float(f.potential(x)) + float(g.potential(x))))
-
-    value, err = integrate(f"affinity({f.name}, {g.name})", (integrand, lo, hi))
-    return AffinityResult(min(value, 1.0), err)
-
-
 @lru_cache(maxsize=None)
 def scaled_affinity(f, eps):
     """Affinity between f and the law of X/(1+eps) for X ~ f.

@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .coupling import PerturbationPlan, product_tv_bound
-from .densities import HALF_LINE, integrate, scaled_affinity
+from .densities import scaled_affinity
 from .errors import ConfigError, DomainError, NumericError, ShapeError, whole
 
 
@@ -149,9 +149,8 @@ def _source_graph_distance(grid):
     return np.abs(xs - sx) + np.abs(ys - sy)
 
 
-def graded_eps(k, alpha, n):
+def _graded_eps(k, alpha, n):
     """Strength alpha / ((k + 1) sqrt(log n)) at graph distance k."""
-    n = whole(n, "n", 2)  # so that log n > 0
     return float(alpha) / ((np.asarray(k, dtype=float) + 1.0) * math.sqrt(math.log(n)))
 
 
@@ -164,7 +163,7 @@ def graded_schedule(grid, alpha, n):
     n = whole(n, "n", 5)  # so that log n > 1
     if not float(alpha) > 0.0:
         raise DomainError("alpha must be positive")
-    eps0 = graded_eps(0, alpha, n)
+    eps0 = _graded_eps(0, alpha, n)
     if eps0 >= 0.5:
         raise DomainError(
             f"source strength alpha / sqrt(log n) = {eps0:.3f} must be below 1/2"
@@ -172,8 +171,8 @@ def graded_schedule(grid, alpha, n):
     k_vertex = _source_graph_distance(grid)
     k_h = np.minimum(k_vertex[:-1, :], k_vertex[1:, :])
     k_v = np.minimum(k_vertex[:, :-1], k_vertex[:, 1:])
-    h_vals = np.where(k_h <= n / 2, graded_eps(k_h, alpha, n), 0.0)
-    v_vals = np.where(k_v <= n / 2, graded_eps(k_v, alpha, n), 0.0)
+    h_vals = np.where(k_h <= n / 2, _graded_eps(k_h, alpha, n), 0.0)
+    v_vals = np.where(k_v <= n / 2, _graded_eps(k_v, alpha, n), 0.0)
     return EpsSchedule(h_vals, v_vals)
 
 
@@ -220,32 +219,3 @@ def ttq_lower_bound(geo, sched, m):
     eps = sched.flat_values()[geo.edge_list[:m]]
     terms = np.r_[0.0, eps * geo.edge_weights[:m] / (1.0 + eps)]
     return float(np.cumsum(terms)[-1])  # in path order; np.sum adds pairwise
-
-
-def laplace_transform(density, theta):
-    """E exp(-theta w) for an edge weight w with the given half-line density."""
-    if density.support != HALF_LINE:
-        raise DomainError("edge weight densities live on the half line")
-    theta = float(theta)
-    if not 0.0 <= theta < math.inf:  # NaN fails it too
-        raise DomainError(f"need finite theta >= 0, got {theta}")
-    lo, hi = density.quad_range()
-    value, _err = integrate(
-        f"Laplace transform({density.name}, theta={theta})",
-        (lambda x: math.exp(-theta * x - float(density.potential(x))), lo, hi),
-    )
-    return value
-
-
-def path_weight_tail(density, r, b):
-    """Explicit-constant bound on P(sum of r i.i.d. edge weights <= b r).
-
-    Chernoff at theta = 1/b gives (e * phi(1/b))^r with phi the Laplace
-    transform of the weight law; the result is capped at 1.
-    """
-    r = whole(r, "r")
-    b = float(b)
-    if not b > 0.0:  # NaN fails it too
-        raise DomainError(f"need b > 0, got {b}")
-    per_edge = math.e * laplace_transform(density, 1.0 / b)
-    return min(1.0, per_edge**r)

@@ -20,7 +20,6 @@ from scipy.special import logsumexp
 from .errors import DomainError, ShapeError, SizeError, whole
 
 MAX_SPINS = 20
-DERIVATIVE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -57,17 +56,6 @@ class SKResult:
     free_energy: float
     gibbs_energy: float
     ground_state: float
-
-
-def hamiltonian(dis, spins):
-    """Energy n^(-1/2) sum_{i<j} g_ij s_i s_j of one configuration."""
-    spins = np.asarray(spins, dtype=float)
-    if spins.shape != (dis.n,):
-        raise ShapeError(f"spin vector must have length {dis.n}")
-    if not np.all(np.abs(spins) == 1.0):
-        raise DomainError("spins must be +/-1")
-    mat = dis.coupling_matrix()
-    return 0.5 * float(spins @ mat @ spins) / math.sqrt(dis.n)
 
 
 def enumerate_energies(dis):
@@ -135,12 +123,6 @@ def _check_table_length(energies, n):
         )
 
 
-def free_energy(dis, beta):
-    """Exact log partition sum over all configurations, with Gibbs average
-    energy and ground state from the same energy table."""
-    return result_from_energies(enumerate_energies(dis), beta)
-
-
 def _shrink(n, alpha):
     """The factor 1 - alpha/n, for alpha/n in (-1/2, 1/2)."""
     shrink = 1.0 - float(alpha) / n
@@ -170,17 +152,3 @@ def jensen_gap_check(dis, alpha, beta, energies, scaled_energies):
     lhs = scaled.free_energy - base.free_energy
     rhs = float(beta) * float(alpha) * base.gibbs_energy / (dis.n * shrink)
     return lhs, rhs, bool(lhs >= rhs - 1e-10)
-
-
-def derivative_check(dis, beta):
-    """Finite-difference derivative of the free energy against <H>_beta."""
-    beta = float(beta)
-    if not 0.0 < beta < math.inf:
-        raise DomainError(f"derivative check needs finite beta > 0, got {beta}")
-    energies = enumerate_energies(dis)
-    up = float(logsumexp((beta + DERIVATIVE_STEP) * energies))
-    down = float(logsumexp((beta - DERIVATIVE_STEP) * energies))
-    fd = (up - down) / (2.0 * DERIVATIVE_STEP)
-    gibbs = result_from_energies(energies, beta).gibbs_energy
-    agree = abs(fd - gibbs) <= 1e-5 * max(1.0, abs(gibbs))
-    return fd, gibbs, bool(agree)

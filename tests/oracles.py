@@ -13,6 +13,12 @@ the current ones must match bit for bit: the dense nearest-neighbor sum, the
 resampling sampler with unbounded tree queries, the two-draw Bernoulli
 coupling, the per-edge dict lookup of the schedule affinities, the FPP gap
 summed over vertex pairs and the NumPy forms of the built-in potentials.
+
+The last three are closed forms that no certificate path needs but the tests
+check the library against: the Hellinger affinity of one Bernoulli coordinate
+(the exact Bernoulli TV must stay below its product bound), the energy of one
+spin configuration (entry by entry of ``enumerate_energies``) and the forward
+cost deformation (the map that ``invert_perturbation`` inverts).
 """
 
 import heapq
@@ -21,6 +27,8 @@ from itertools import permutations
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from flucert.errors import DomainError, ShapeError
 
 #: pivots below this magnitude mark the matrix as rank deficient
 PIVOT_FLOOR = 1e-300
@@ -375,3 +383,32 @@ NUMPY_FORM_POTENTIALS = {
     "exponential-rate-1": lambda x: np.asarray(x, dtype=float),
     "half-gaussian": lambda x: 0.5 * np.square(x) + 0.5 * math.log(math.pi / 2.0),
 }
+
+
+def bernoulli_coordinate_affinity(eps):
+    """Affinity between Bernoulli(1/2) and Bernoulli((1+eps)/2)."""
+    eps = float(eps)
+    if not 0.0 <= eps < 1.0:
+        raise DomainError(f"eps must lie in [0, 1), got {eps}")
+    return 0.5 * (math.sqrt(1.0 + eps) + math.sqrt(1.0 - eps))
+
+
+def hamiltonian(dis, spins):
+    """Energy n^(-1/2) sum_{i<j} g_ij s_i s_j of one configuration."""
+    spins = np.asarray(spins, dtype=float)
+    if spins.shape != (dis.n,):
+        raise ShapeError(f"spin vector must have length {dis.n}")
+    if not np.all(np.abs(spins) == 1.0):
+        raise DomainError("spins must be +/-1")
+    mat = dis.coupling_matrix()
+    return 0.5 * float(spins @ mat @ spins) / math.sqrt(dis.n)
+
+
+def deformation(x, n):
+    """Piecewise-linear profile: sqrt(n) x below 1/n, x + n^-1/2 - n^-1 above."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):  # NaN fails it too
+        raise DomainError("the deformation profile is defined on x >= 0")
+    root_n = math.sqrt(n)
+    out = np.where(x <= 1.0 / n, root_n * x, x + 1.0 / root_n - 1.0 / n)
+    return float(out) if out.ndim == 0 else out

@@ -11,7 +11,6 @@ from flucert import assignment, densities
 from flucert.assignment import (
     AssignmentResult,
     CostMatrix,
-    deformation,
     gap_certificate,
     hungarian,
     invert_perturbation,
@@ -22,7 +21,7 @@ from flucert.assignment import (
 from flucert.densities import QUAD_TOL, sample_iid, standard_density
 from flucert.errors import DomainError, NumericError, ShapeError
 from flucert.rng import seed_stream
-from oracles import brute_force_assignment, hungarian_loop
+from oracles import brute_force_assignment, deformation, hungarian_loop
 
 EXPO = standard_density("exponential-rate-1")
 

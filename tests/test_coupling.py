@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 from flucert.coupling import (
     CouplingCertificate,
     PerturbationPlan,
-    bernoulli_coordinate_affinity,
     bernoulli_exact_tv,
     bernoulli_mixing_coupling,
     certify,
-    empirical_concentration_function,
     hoeffding_slack,
     product_tv_bound,
     tv_upper_from_affinity,
 )
 from flucert.errors import DomainError, SizeError
 from flucert.rng import seed_stream
-from oracles import bernoulli_two_draws
+from oracles import bernoulli_coordinate_affinity, bernoulli_two_draws
 
 
 def certified_bound(p_close, tv):
@@ -214,51 +212,6 @@ class TestBernoulliExactTv:
         assert 0.0 < value < 1.0
 
 
-class TestConcentrationFunction:
-    def test_all_equal(self):
-        assert empirical_concentration_function(np.zeros(9), 0.0) == 1.0
-
-    def test_enumerated_windows(self):
-        assert empirical_concentration_function([1.0, 2.0, 3.0, 4.0], 1.0) == 0.5
-
-    def test_full_range(self):
-        s = np.sort(seed_stream(3).random(50))
-        assert empirical_concentration_function(s, 1.0) == 1.0
-
-    def test_nan_rejected(self):
-        with pytest.raises(DomainError):
-            empirical_concentration_function(np.array([0.0, 1.0, 2.0]), math.nan)
-        with pytest.raises(DomainError):
-            empirical_concentration_function(np.array([0.0, math.nan, 2.0]), 0.5)
-
-    @pytest.mark.parametrize(
-        "samples", [[math.nan], [math.inf], [1.0, math.inf], [-math.inf, 0.0]]
-    )
-    def test_non_finite_samples_rejected(self, samples):
-        with pytest.raises(DomainError, match="finite"):
-            empirical_concentration_function(np.array(samples), 1.0)
-
-    def test_requires_sorted(self):
-        with pytest.raises(DomainError):
-            empirical_concentration_function([2.0, 1.0], 0.5)
-
-    @given(st.data())
-    @settings(max_examples=50)
-    def test_monotone_in_length(self, data):
-        raw = data.draw(
-            st.lists(
-                st.floats(-100, 100, allow_nan=False), min_size=1, max_size=40
-            )
-        )
-        s = np.sort(np.asarray(raw))
-        l1 = data.draw(st.floats(0, 50))
-        l2 = data.draw(st.floats(0, 50))
-        lo, hi = min(l1, l2), max(l1, l2)
-        assert empirical_concentration_function(
-            s, lo
-        ) <= empirical_concentration_function(s, hi)
-
-
 class TestCertify:
     def test_slack_value(self):
         assert hoeffding_slack(20000, 0.95) == pytest.approx(0.009603, abs=1e-6)
@@ -285,7 +238,7 @@ class TestCertify:
             certify(np.ones(4), 0.0, 1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="need a whole indicator count >= 1"):
             certify(np.array([]), 0.0, 0.95)
 
     @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf, -math.inf])

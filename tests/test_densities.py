@@ -14,15 +14,12 @@ from flucert.densities import (
     AffinityResult,
     exponential_rate_affinity,
     gaussian_scale_affinity,
-    hellinger_affinity,
     integrate,
-    normalization,
     sample_iid,
     scaled_affinity,
     standard_density,
 )
 from flucert.errors import ConfigError, DomainError, NumericError
-from flucert.fpp import laplace_transform
 from flucert.rng import seed_stream
 from oracles import NUMPY_FORM_POTENTIALS
 
@@ -58,6 +55,12 @@ def test_exponential_potential_is_linear():
     assert f.support == "half-line"
 
 
+def normalization(f):
+    """Integral of exp(-potential) over the density's quadrature window."""
+    lo, hi = f.quad_range()
+    return integrate(f.name, (lambda x: math.exp(-float(f.potential(x))), lo, hi))
+
+
 def test_normalization(density):
     value, err = normalization(density)
     assert abs(value - 1.0) <= 1e-6
@@ -91,12 +94,9 @@ def test_nan_error_estimate_fails_every_integral(monkeypatch):
     monkeypatch.setattr(densities, "quad", lambda *args, **kwargs: (0.5, math.nan))
     expo = standard_density("exponential-rate-1")
     for call in (
-        lambda: normalization(expo),
-        lambda: hellinger_affinity(expo, expo),
         lambda: scaled_affinity(expo, 0.123456789),
         lambda: perturbation_affinity(expo, 1.0, 100),
         lambda: row_tail_probability(expo, 100),
-        lambda: laplace_transform(expo, 1.0),
     ):
         with pytest.raises(NumericError):
             call()
@@ -131,26 +131,6 @@ def test_gaussian_sampler_moments():
     draws = sample_iid(f, 10**5, seed_stream(42, 0, 1))
     assert abs(draws.mean()) < 0.02
     assert abs(draws.std() - 1.0) < 0.02
-
-
-def test_affinity_identical_measures(density):
-    res = hellinger_affinity(density, density)
-    assert res.rho == pytest.approx(1.0, abs=1e-10)
-
-
-def test_affinity_requires_matching_support():
-    with pytest.raises(DomainError):
-        hellinger_affinity(
-            standard_density("std-gaussian"), standard_density("exponential-rate-1")
-        )
-
-
-def test_affinity_symmetry():
-    f = standard_density("exponential-rate-1")
-    g = standard_density("half-gaussian")
-    assert hellinger_affinity(f, g).rho == pytest.approx(
-        hellinger_affinity(g, f).rho, abs=1e-10
-    )
 
 
 def test_scaled_affinity_exponential_closed_form():
@@ -256,27 +236,6 @@ class TestPlainArithmeticPotentials:
         assert scaled_affinity(density, eps) == scaled_affinity(
             numpy_form(density), eps
         )
-
-    @pytest.mark.parametrize(
-        "pair",
-        [
-            ("std-gaussian", "std-gaussian"),
-            ("exponential-rate-1", "half-gaussian"),
-            ("half-gaussian", "exponential-rate-1"),
-            ("exponential-rate-1", "exponential-rate-1"),
-        ],
-    )
-    def test_hellinger_affinity(self, pair):
-        f, g = (standard_density(name) for name in pair)
-        assert hellinger_affinity(f, g) == hellinger_affinity(
-            numpy_form(f), numpy_form(g)
-        )
-
-    @pytest.mark.parametrize("name", HALF_LINE_NAMES)
-    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 1.0, 2.5, 7.0, 20.0])
-    def test_laplace_transform(self, name, theta):
-        f = standard_density(name)
-        assert laplace_transform(f, theta) == laplace_transform(numpy_form(f), theta)
 
     @pytest.mark.parametrize("name", HALF_LINE_NAMES)
     @pytest.mark.parametrize(

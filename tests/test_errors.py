@@ -47,7 +47,13 @@ ENTRIES = [
         0,
     ),
     ("bernoulli_exact_tv", "n", lambda k: coupling.bernoulli_exact_tv(k, 0.1), 3, 0),
-    ("hoeffding_slack", "n", lambda k: coupling.hoeffding_slack(k, 0.9), 3, 0),
+    (
+        "hoeffding_slack",
+        "indicator count",
+        lambda k: coupling.hoeffding_slack(k, 0.9),
+        3,
+        0,
+    ),
     (
         "sample_iid",
         "n",
@@ -74,7 +80,6 @@ ENTRIES = [
         0,
     ),
     ("graded_schedule", "n", lambda k: fpp.graded_schedule(grid(), 0.5, k), 12, 4),
-    ("graded_eps", "n", lambda k: fpp.graded_eps(0, 0.5, k), 3, 1),
     (
         "ttq_lower_bound",
         "m",
@@ -82,7 +87,6 @@ ENTRIES = [
         3,
         7,
     ),
-    ("path_weight_tail", "r", lambda k: fpp.path_weight_tail(EXPO, k, 1.0), 3, 0),
     ("SKDisorder", "n", lambda k: spin_glass.SKDisorder(k, np.zeros(3)), 3, 0),
     ("CostMatrix", "n", lambda k: assignment.CostMatrix(k, np.ones((3, 3))), 3, 0),
     ("FppGrid width", "width", lambda k: grid(width=k), 3, 1),
@@ -106,7 +110,6 @@ ENTRIES = [
         3,
         -1,
     ),
-    ("deformation", "n", lambda k: assignment.deformation(0.5, k), 3, 0),
     (
         "invert_perturbation",
         "n",
