@@ -2,12 +2,12 @@
 
 The package builds couplings between a random system and a small perturbation
 of it, bounds the total-variation distance between the two laws analytically
-through Hellinger affinities, and turns per-sample gap statistics into
-finite-sample certificates of the form "no interval of length delta carries
-probability above the certified bound".
+through closed-form Hellinger affinities, and turns per-sample gap statistics
+into finite-sample certificates of the form "no interval of length delta
+carries probability above the certified bound".
 
 Import the modules, not the package: ``coupling`` (TV bounds and the
-certificate), ``densities`` (densities, sampling and affinity quadrature),
+certificate), ``densities`` (densities, sampling and closed-form affinities),
 ``rng`` (seed streams), ``errors`` (typed errors, and ``whole``, the one check
 of every size, count and index), and one module per model: ``assignment``,
 ``euclidean``, ``fpp``, ``random_matrix``, ``spin_glass``.

@@ -5,6 +5,8 @@ profile d is steep (slope sqrt(n)) below 1/n and unit-slope above.
 The map is piecewise linear, so perturbed costs come from a closed-form
 inversion rather than a root finder, and rows whose minimum cost is at least
 1/n contribute a guaranteed per-entry gap to the optimal assignment cost.
+For rate-1 exponential costs the deformation affinity and the chance that a
+row's minimum reaches 1/n are closed forms.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .densities import HALF_LINE, AffinityResult, integrate
+from .densities import AffinityResult
 from .errors import DomainError, ShapeError, whole
 
 
@@ -84,15 +86,23 @@ def perturb_costs(cm, alpha):
     return CostMatrix(cm.n, invert_perturbation(cm.entries, alpha, cm.n))
 
 
-def perturbation_affinity(f, alpha, n):
-    """Affinity between the cost law and its deformed version by quadrature.
+def _check_exponential(f):
+    if f.name != "exponential-rate-1":
+        raise DomainError(f"need the rate-1 exponential cost law, got {f.name!r}")
 
-    Integrates sqrt((1 + eps d'(x)) exp(-(V(x + eps d(x)) + V(x)))) over the
-    half line with eps = alpha/n, splitting at the deformation breakpoint 1/n
-    where the slope jumps.
+
+def perturbation_affinity(f, alpha, n):
+    """Affinity between the rate-1 exponential cost law and its deformed version.
+
+    With eps = alpha/n the deformation has slope k = 1 + eps sqrt(n) below the
+    breakpoint 1/n and slope 1 + eps above it, so the affinity is a sum of two
+    exponential integrals:
+
+        (2 sqrt(k) / (1 + k)) (1 - exp(-(1 + k) / (2n)))
+        + (2 sqrt(1 + eps) / (2 + eps))
+          exp(-((2 + eps)/n + eps (n^-1/2 - n^-1)) / 2).
     """
-    if f.support != HALF_LINE:
-        raise DomainError("cost densities live on the half line")
+    _check_exponential(f)
     n = whole(n, "n")
     alpha = float(alpha)
     eps = alpha / n
@@ -101,41 +111,19 @@ def perturbation_affinity(f, alpha, n):
     if not 0.0 < eps < 0.5:
         raise DomainError(f"alpha/n = {eps} must lie in (0, 1/2)")
     root_n = math.sqrt(n)
-    lo, hi = f.quad_range()
-
-    def integrand_low(x):
-        slope = 1.0 + eps * root_n
-        shifted = x * slope  # x + eps sqrt(n) x
-        return math.sqrt(slope) * math.exp(
-            -0.5 * (float(f.potential(shifted)) + float(f.potential(x)))
-        )
-
-    def integrand_high(x):
-        shifted = x + eps * (x + 1.0 / root_n - 1.0 / n)
-        return math.sqrt(1.0 + eps) * math.exp(
-            -0.5 * (float(f.potential(shifted)) + float(f.potential(x)))
-        )
-
-    break_x = 1.0 / n
-    value, err = integrate(
-        f"deformation affinity({f.name}, alpha={alpha}, n={n})",
-        (integrand_low, lo, break_x),
-        (integrand_high, break_x, hi),
-    )
-    return AffinityResult(min(value, 1.0), err)
+    slope = 1.0 + eps * root_n
+    low_mass = -math.expm1(-(1.0 + slope) / (2.0 * n))
+    high_mass = math.exp(-0.5 * ((2.0 + eps) / n + eps * (1.0 / root_n - 1.0 / n)))
+    low = 2.0 * math.sqrt(slope) / (1.0 + slope) * low_mass
+    high = 2.0 * math.sqrt(1.0 + eps) / (2.0 + eps) * high_mass
+    return AffinityResult(min(low + high, 1.0), 0.0)
 
 
 def row_tail_probability(f, n):
-    """P(min of n i.i.d. costs >= 1/n) = (upper-tail mass above 1/n)^n."""
-    if f.support != HALF_LINE:
-        raise DomainError("cost densities live on the half line")
+    """P(min of n i.i.d. rate-1 exponential costs >= 1/n) = (exp(-1/n))^n."""
+    _check_exponential(f)
     n = whole(n, "n")
-    hi = f.quad_range()[1]
-    tail, _err = integrate(
-        f"row tail({f.name}, n={n})",
-        (lambda x: math.exp(-float(f.potential(x))), 1.0 / n, hi),
-    )
-    return min(tail, 1.0) ** n
+    return math.exp(-1.0 / n) ** n
 
 
 @dataclass(frozen=True)

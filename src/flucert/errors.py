@@ -32,14 +32,7 @@ class ShapeError(CertToolError, ValueError):
 
 
 class NumericError(CertToolError):
-    """A numerical routine failed to reach its accuracy target.
-
-    ``partial`` carries the best available estimate, when one exists.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A numerical result overflowed or lost its accuracy."""
 
 
 class RankError(CertToolError):

@@ -343,7 +343,7 @@ def rhee_mixture_affinity(vol, theta):
     The resampled point has density (1 - theta) + theta/vol on D and
     (1 - theta) outside, so the affinity against the uniform density is
     (1 - vol) sqrt(1 - theta) + vol sqrt(1 - theta + theta/vol), an exact
-    finite formula requiring no quadrature.
+    finite formula.
     """
     vol = float(vol)
     theta = float(theta)

@@ -194,7 +194,7 @@ def perturb(grid, sched):
 def schedule_tv_bound(sched, density):
     """Perturbation plan and TV bound for a whole schedule.
 
-    The per-edge affinity depends only on eps_e, so quadrature runs once per
+    The per-edge affinity depends only on eps_e, so it is computed once per
     distinct value and the inverse index of ``np.unique`` spreads the values
     over all edges.
     """

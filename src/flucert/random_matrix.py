@@ -53,10 +53,6 @@ class MatrixEnsembleSpec:
         return 1 if self.kind == "wigner" else 2
 
 
-def wigner_spec(order):
-    return MatrixEnsembleSpec("wigner", order)
-
-
 def covariance_spec(order, sample_count):
     return MatrixEnsembleSpec("sample-covariance", order, sample_count)
 
@@ -69,6 +65,8 @@ def build(spec, inputs):
             f"{spec.kind} of order {spec.order} needs {spec.n_inputs} inputs, "
             f"got shape {inputs.shape}"
         )
+    if not np.all(np.isfinite(inputs)):
+        raise DomainError("inputs must be finite")
     if spec.kind == "wigner":
         n = spec.order
         mat = np.zeros((n, n))
@@ -99,6 +97,8 @@ def log_abs_det(matrix):
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"need a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise DomainError("matrix must be finite")
     sign, value = np.linalg.slogdet(mat)
     if sign == 0.0:
         return LogDetResult(-math.inf, 0)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, ShapeError, SizeError, whole
 
@@ -51,11 +50,10 @@ class SKDisorder:
 
 @dataclass(frozen=True)
 class SKResult:
-    """Free energy, Gibbs-average energy, and ground state at one temperature."""
+    """Free energy and Gibbs-average energy at one temperature."""
 
     free_energy: float
     gibbs_energy: float
-    ground_state: float
 
 
 def enumerate_energies(dis):
@@ -104,15 +102,14 @@ def result_from_energies(energies, beta):
         )
     if not np.all(np.isfinite(energies)):
         raise DomainError("energy table must be finite")
-    free = float(logsumexp(beta * energies))
-    shifted = beta * energies - np.max(beta * energies)
-    weights = np.exp(shifted)
-    weights /= weights.sum()
-    gibbs = float(weights @ energies)
+    # one exp pass gives both: free = log sum exp(a) and the Gibbs weights
+    a = beta * energies
+    top = a.max()
+    weights = np.exp(a - top)
+    total = weights.sum()
     return SKResult(
-        free_energy=free,
-        gibbs_energy=gibbs,
-        ground_state=float(energies.max()),
+        free_energy=float(top + math.log(total)),
+        gibbs_energy=float((weights / total) @ energies),
     )
 
 

@@ -11,14 +11,20 @@ take the same inputs as the ``flucert`` solvers and return plain values.
 The second half keeps the earlier forms of the per-replicate hot paths, which
 the current ones must match bit for bit: the dense nearest-neighbor sum, the
 resampling sampler with unbounded tree queries, the two-draw Bernoulli
-coupling, the per-edge dict lookup of the schedule affinities, the FPP gap
-summed over vertex pairs and the NumPy forms of the built-in potentials.
+coupling, the per-edge dict lookup of the schedule affinities and the FPP gap
+summed over vertex pairs.
 
 The last three are closed forms that no certificate path needs but the tests
 check the library against: the Hellinger affinity of one Bernoulli coordinate
 (the exact Bernoulli TV must stay below its product bound), the energy of one
 spin configuration (entry by entry of ``enumerate_energies``) and the forward
 cost deformation (the map that ``invert_perturbation`` inverts).
+
+The affinities that ``flucert`` computes in closed form are checked against
+adaptive quadratures of each density's potential (negative log-density): the
+scale affinity, the cost-deformation affinity and the row tail.  They
+integrate over the whole support: a window [0, 41] on the half line would cut
+1.5e-14 off the exponential scale affinity at eps = -0.45.
 """
 
 import heapq
@@ -26,6 +32,7 @@ import math
 from itertools import permutations
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from flucert.errors import DomainError, ShapeError
@@ -377,12 +384,62 @@ def ttq_by_vertex_pairs(grid, sched, path, m):
     return total
 
 
-#: the built-in potentials in their NumPy form, by density name
-NUMPY_FORM_POTENTIALS = {
-    "std-gaussian": lambda x: 0.5 * np.square(x) + 0.5 * math.log(2.0 * math.pi),
-    "exponential-rate-1": lambda x: np.asarray(x, dtype=float),
-    "half-gaussian": lambda x: 0.5 * np.square(x) + 0.5 * math.log(math.pi / 2.0),
+#: potential and lower end of the support of each built-in density
+POTENTIALS = {
+    "std-gaussian": (lambda x: 0.5 * x * x + 0.5 * math.log(2.0 * math.pi), -math.inf),
+    "exponential-rate-1": (lambda x: x, 0.0),
 }
+#: a quadrature whose error estimate exceeds this is no reference
+QUAD_TOL = 1e-8
+
+
+def integrate(*pieces):
+    """Sum of adaptive quadratures of ``(integrand, lo, hi)``, each checked."""
+    total = 0.0
+    for integrand, lo, hi in pieces:
+        value, err = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert err <= QUAD_TOL, (lo, hi, err)
+        total += value
+    return total
+
+
+def quad_scaled_affinity(name, eps):
+    """Affinity between a built-in density f and the law of X/(1+eps), X ~ f."""
+    potential, lo = POTENTIALS[name]
+    s = 1.0 + eps
+
+    def integrand(x):
+        return math.sqrt(s) * math.exp(-0.5 * (potential(s * x) + potential(x)))
+
+    return integrate((integrand, lo, math.inf))
+
+
+def quad_perturbation_affinity(alpha, n):
+    """Affinity between rate-1 exponential costs and their deformed law.
+
+    The deformation x + eps d(x), eps = alpha/n, has slope 1 + eps sqrt(n)
+    below 1/n and 1 + eps above; the integral is split at that breakpoint.
+    """
+    potential = POTENTIALS["exponential-rate-1"][0]
+    eps, root_n = alpha / n, math.sqrt(n)
+    slope = 1.0 + eps * root_n
+
+    def low(x):
+        return math.sqrt(slope) * math.exp(-0.5 * (potential(x * slope) + potential(x)))
+
+    def high(x):
+        shifted = x + eps * (x + 1.0 / root_n - 1.0 / n)
+        return math.sqrt(1.0 + eps) * math.exp(
+            -0.5 * (potential(shifted) + potential(x))
+        )
+
+    return integrate((low, 0.0, 1.0 / n), (high, 1.0 / n, math.inf))
+
+
+def quad_row_tail_probability(n):
+    """P(min of n i.i.d. rate-1 exponentials >= 1/n), from the upper-tail mass."""
+    potential = POTENTIALS["exponential-rate-1"][0]
+    return integrate((lambda x: math.exp(-potential(x)), 1.0 / n, math.inf)) ** n
 
 
 def bernoulli_coordinate_affinity(eps):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flucert import assignment, densities
+from flucert import assignment
 from flucert.assignment import (
     AssignmentResult,
     CostMatrix,
@@ -18,10 +18,16 @@ from flucert.assignment import (
     perturbation_affinity,
     row_tail_probability,
 )
-from flucert.densities import QUAD_TOL, sample_iid, standard_density
-from flucert.errors import DomainError, NumericError, ShapeError
+from flucert.densities import sample_iid, standard_density
+from flucert.errors import DomainError, ShapeError
 from flucert.rng import seed_stream
-from oracles import brute_force_assignment, deformation, hungarian_loop
+from oracles import (
+    brute_force_assignment,
+    deformation,
+    hungarian_loop,
+    quad_perturbation_affinity,
+    quad_row_tail_probability,
+)
 
 EXPO = standard_density("exponential-rate-1")
 
@@ -130,13 +136,17 @@ class TestAffinity:
         for a, g in zip(alphas, gaps):
             assert g <= 2.0 * scale * a * a + 1e-12
 
-    def test_summed_error_is_checked(self, monkeypatch):
-        # each piece is below the tolerance, their sum is not
-        monkeypatch.setattr(
-            densities, "quad", lambda *args, **kwargs: (0.5, 0.6 * QUAD_TOL)
-        )
-        with pytest.raises(NumericError):
-            perturbation_affinity(EXPO, 1.0, 100)
+    @pytest.mark.parametrize("n", [10, 100, 400, 6400])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    def test_affinity_matches_quadrature(self, alpha, n):
+        res = perturbation_affinity(EXPO, alpha, n)
+        assert abs(res.rho - quad_perturbation_affinity(alpha, n)) <= 2e-15
+        assert res.quadrature_error_estimate == 0.0
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 1600, 6400])
+    def test_row_tail_matches_quadrature(self, n):
+        got = row_tail_probability(EXPO, n)
+        assert got == pytest.approx(quad_row_tail_probability(n), rel=1e-12)
 
     @pytest.mark.parametrize(
         "alpha, n", [(1.0, 0), (-1.0, -4), (1.0, 2.5), (1.0, math.nan)]
@@ -155,8 +165,11 @@ class TestAffinity:
             perturbation_affinity(EXPO, 5.0, 10)
 
     def test_full_line_density_rejected(self):
-        with pytest.raises(DomainError):
-            perturbation_affinity(standard_density("std-gaussian"), 1.0, 10)
+        gauss = standard_density("std-gaussian")
+        with pytest.raises(DomainError, match="rate-1 exponential"):
+            perturbation_affinity(gauss, 1.0, 10)
+        with pytest.raises(DomainError, match="rate-1 exponential"):
+            row_tail_probability(gauss, 10)
 
     @pytest.mark.parametrize("n", [1, 10, 400])
     def test_row_tail_of_exponential(self, n):

@@ -4,7 +4,8 @@ Builds the three ``perfbench`` workloads at ``"tiny"`` scale for seeds 1-3,
 runs one untimed certificate pass of each and compares every certificate
 record with ``data/certificates_tiny.json``.  Strings and ints must be equal;
 floats must agree to a relative 1e-12, which leaves room for an ulp of
-difference in SciPy's ``ndtri`` or QUADPACK between versions and no more.
+difference in SciPy's ``ndtri`` or the C math library between versions and no
+more.
 
 To rewrite the stored values (only where a certificate is meant to change):
 

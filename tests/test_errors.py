@@ -1,9 +1,12 @@
-"""Every size, count and index enters through ``errors.whole``.
+"""Every size, count and index enters through ``errors.whole``, and no NaN or
+infinite array enters at all.
 
 One table lists each entry point that takes a count, as a call of the count
 alone, with a value it accepts and an integer just outside its range.  Each
 entry must reject a non-integral, boolean or out-of-range count with a
-``DomainError`` that names the argument, and accept NumPy integers.
+``DomainError`` that names the argument, and accept NumPy integers.  A second
+table lists the entry points that take a float array; each must reject one
+NaN or infinite entry with a ``DomainError`` that names the argument.
 """
 
 import math
@@ -158,6 +161,46 @@ def test_bad_count_rejected_at_entry(entry, name, call, good, out, kind):
 @pytest.mark.parametrize("entry, name, call, good, out", ENTRIES, ids=ENTRY_IDS)
 def test_numpy_integers_accepted(entry, name, call, good, out, to_numpy):
     call(to_numpy(good))
+
+
+COVARIANCE = random_matrix.covariance_spec(2, 4)
+
+# (id, name in the message, call of a finite float array, length it needs)
+ARRAYS = [
+    (
+        "build wigner",
+        "inputs",
+        lambda a: random_matrix.build(random_matrix.MatrixEnsembleSpec("wigner", 2), a),
+        3,
+    ),
+    ("build covariance", "inputs", lambda a: random_matrix.build(COVARIANCE, a), 8),
+    (
+        "scaling_shift_check",
+        "inputs",
+        lambda a: random_matrix.scaling_shift_check(COVARIANCE, a, 1.0),
+        8,
+    ),
+    (
+        "log_abs_det",
+        "matrix",
+        lambda a: random_matrix.log_abs_det(a.reshape(2, 2) + 3.0 * np.eye(2)),
+        4,
+    ),
+    ("SKDisorder", "couplings", lambda a: spin_glass.SKDisorder(3, a), 3),
+    ("CostMatrix", "costs", lambda a: assignment.CostMatrix(2, a.reshape(2, 2)), 4),
+]
+
+ARRAY_IDS = [entry[0] for entry in ARRAYS]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry, name, call, size", ARRAYS, ids=ARRAY_IDS)
+def test_non_finite_array_rejected_at_entry(entry, name, call, size, bad):
+    values = np.arange(1.0, size + 1.0) ** 2 / size
+    call(values)
+    values[size // 2] = bad
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        call(values)
 
 
 class TestWhole:

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -15,9 +18,6 @@ SOURCES = sorted((ROOT / "src" / "flucert").glob("*.py"))
 
 #: public names that no certificate path reaches yet, each with the item that wires it
 NOT_YET_REACHED = {
-    "gaussian_scale_affinity": "ROADMAP item 5 (exact TV for scale plans)",
-    "exponential_rate_affinity": "ROADMAP item 5 (exact TV for scale plans)",
-    "wigner_spec": "ROADMAP item 3 (analytic random-matrix certificates)",
     "InequalityViolationError": "ROADMAP items 1 and 4 (the driver raises it)",
 }
 
@@ -35,6 +35,19 @@ def test_every_script_target_is_callable():
 def test_package_binds_only_modules():
     public = {k: v for k, v in vars(flucert).items() if not k.startswith("_")}
     assert all(isinstance(v, types.ModuleType) for v in public.values()), public
+
+
+def test_no_module_imports_quadrature():
+    """Every affinity is a closed form: importing all of flucert leaves
+    scipy.integrate unloaded."""
+    stems = [path.stem for path in SOURCES if path.stem != "__init__"]
+    modules = ["flucert", *(f"flucert.{stem}" for stem in stems)]
+    code = (
+        f"import importlib, sys\nfor m in {modules!r}: importlib.import_module(m)\n"
+        "assert 'scipy.integrate' not in sys.modules"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def names_in(node):

@@ -14,12 +14,15 @@ from flucert.random_matrix import (
     covariance_spec,
     log_abs_det,
     scaling_shift_check,
-    wigner_spec,
 )
 from flucert.rng import seed_stream
 from oracles import lu_log_abs_det
 
 GAUSS = standard_density("std-gaussian")
+
+
+def wigner_spec(order):
+    return MatrixEnsembleSpec("wigner", order)
 
 
 def random_inputs(spec, seed):

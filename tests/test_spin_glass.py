@@ -148,12 +148,25 @@ class TestFreeEnergy:
         expected = math.log(np.exp(shifted - shifted.max()).sum()) + shifted.max()
         assert res.free_energy == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0, 2.5])
+    def test_one_exp_pass_matches_logsumexp_and_two_pass_weights(self, beta):
+        energies = enumerate_energies(random_disorder(12, 16))
+        res = result_from_energies(energies, beta)
+        assert res.free_energy == pytest.approx(
+            float(logsumexp(beta * energies)), rel=1e-14
+        )
+        # the Gibbs average as the earlier two-pass form computed it, bit for bit
+        shifted = beta * energies - np.max(beta * energies)
+        weights = np.exp(shifted)
+        weights /= weights.sum()
+        assert res.gibbs_energy == float(weights @ energies)
+
     def test_free_energy_lower_bounds(self):
         energies = enumerate_energies(random_disorder(9, 8))
         for beta in (0.0, 0.7, 1.5):
             res = result_from_energies(energies, beta)
             assert res.free_energy >= 9 * math.log(2) + beta * energies.min() - 1e-9
-            assert res.free_energy >= beta * res.ground_state - 1e-9
+            assert res.free_energy >= beta * energies.max() - 1e-9
 
     def test_convex_in_beta(self):
         dis = random_disorder(10, 9)
@@ -174,10 +187,11 @@ class TestFreeEnergy:
         perm = seed_stream(13).permutation(n)
         mat = dis.coupling_matrix()[np.ix_(perm, perm)]
         relabeled = SKDisorder(n, mat[np.triu_indices(n, k=1)])
-        a = result_from_energies(enumerate_energies(dis), 1.2)
-        b = result_from_energies(enumerate_energies(relabeled), 1.2)
+        energies, relabeled_energies = map(enumerate_energies, (dis, relabeled))
+        a = result_from_energies(energies, 1.2)
+        b = result_from_energies(relabeled_energies, 1.2)
         assert a.free_energy == pytest.approx(b.free_energy, abs=1e-10)
-        assert a.ground_state == pytest.approx(b.ground_state, abs=1e-10)
+        assert energies.max() == pytest.approx(relabeled_energies.max(), abs=1e-10)
 
 
 class TestEnergyTableChecks:
