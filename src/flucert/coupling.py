@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, SizeError, whole
-from .rng import uniform_open
 
 PLAN_KINDS = ("scale", "mixing", "nonlinear", "edge-graded")
+#: a raw word w gives a uniform below 1/2 exactly when w < 2**63
+_HALF_WORDS = np.uint64(2**63)
 
 
 def _check_unit(value, name):
@@ -77,6 +79,26 @@ def product_tv_bound(plan):
     return math.sqrt(0.0 - math.expm1(min(log_sq, 0.0)))
 
 
+@lru_cache(maxsize=None)
+def _below_eps_words(eps):
+    """The word bound W with (w >> 11) * 2**-53 + 2**-54 < eps exactly when w < W.
+
+    The left side is the double that ``uniform_open`` makes from the raw word
+    w, and it does not decrease in k = w >> 11.  So it lies below eps exactly
+    when k < K, for K the smallest k whose double reaches eps.  K lies within
+    a step of floor(eps * 2**53), and each step evaluates the same double.
+    """
+    def draw(k):
+        return k * 2.0**-53 + 2.0**-54
+
+    k = math.floor(eps * 2.0**53)
+    while k > 0 and draw(k - 1) >= eps:
+        k -= 1
+    while draw(k) < eps:
+        k += 1
+    return np.uint64(k << 11)
+
+
 def bernoulli_mixing_coupling(n, alpha, rng):
     """Couple fair coin flips X with the upward mixture X'.
 
@@ -84,16 +106,23 @@ def bernoulli_mixing_coupling(n, alpha, rng):
     probability eps, where eps = alpha / sqrt(n).  The marginal of X' is then
     i.i.d. Bernoulli((1+eps)/2), and X'_i = X_i + 1 exactly when the forcing
     fires on a zero coordinate, which has probability eps / 2.  One draw of
-    2n uniforms gives the coin flips (first half) and the forcing events
-    (second half); both vectors are int8.
+    2n raw 64-bit words gives the coin flips (first half) and the forcing
+    events (second half); both vectors are int8.
+
+    The words are the ones ``uniform_open(rng, 2 * n)`` would turn into
+    doubles u, and each comparison u < 1/2 or u < eps is made on the word
+    instead: u < 1/2 exactly when w < 2**63, and u < eps exactly when w lies
+    below the integer bound of ``_below_eps_words``.  That skips the
+    conversion to doubles and keeps every draw as it was.  The bounds are
+    ``np.uint64`` so that no NumPy version compares through float64.
     """
     n = whole(n, "n")
     eps = float(alpha) / math.sqrt(n)
     if not 0.0 <= eps < 1.0:
         raise DomainError(f"alpha / sqrt(n) = {eps} must lie in [0, 1)")
-    u = uniform_open(rng, 2 * n)
-    x = (u[:n] < 0.5).view(np.int8)
-    x_prime = x | (u[n:] < eps)
+    w = rng.bit_generator.random_raw(2 * n)
+    x = (w[:n] < _HALF_WORDS).view(np.int8)
+    x_prime = x | (w[n:] < _below_eps_words(eps))
     return x, x_prime
 
 
@@ -101,7 +130,7 @@ def bernoulli_exact_tv(n, eps):
     """Exact TV between Bernoulli(1/2)^n and Bernoulli((1+eps)/2)^n.
 
     Evaluates (1/2) sum_k C(n,k) |2^-n - ((1+eps)/2)^k ((1-eps)/2)^(n-k)|
-    with log-space binomials and compensated summation.
+    with log-space binomials and a correctly rounded sum.
     """
     n = whole(n, "n")
     if n > 100000:
@@ -120,7 +149,9 @@ def bernoulli_exact_tv(n, eps):
         + (n - k) * math.log((1.0 - eps) / 2.0)
     )
     diffs = np.abs(np.exp(log_fair) - np.exp(log_tilted))
-    return 0.5 * math.fsum(diffs.tolist())
+    # fsum rounds the exact sum, whatever the order; largest first it keeps
+    # few partial sums and runs several times faster
+    return 0.5 * math.fsum(np.sort(diffs)[::-1].tolist())
 
 
 def hoeffding_slack(n, confidence):

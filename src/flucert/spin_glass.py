@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizeError, whole
+from .errors import DomainError, NumericError, ShapeError, SizeError, whole
 
 MAX_SPINS = 20
 
@@ -89,7 +89,10 @@ def _spin_table(k):
 
 
 def result_from_energies(energies, beta):
-    """Thermodynamics from a non-empty 1-D table of finite energies."""
+    """Thermodynamics from a non-empty 1-D table of finite energies.
+
+    Raises ``NumericError`` when beta times an energy overflows.
+    """
     beta = float(beta)
     if not 0.0 <= beta < math.inf:
         raise DomainError(
@@ -100,12 +103,18 @@ def result_from_energies(energies, beta):
         raise ShapeError(
             f"energy table must be a non-empty 1-D array, got shape {energies.shape}"
         )
-    if not np.all(np.isfinite(energies)):
+    low, high = float(energies.min()), float(energies.max())
+    # min and max propagate NaN, so this checks every entry
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise DomainError("energy table must be finite")
-    # one exp pass gives both: free = log sum exp(a) and the Gibbs weights
-    a = beta * energies
-    top = a.max()
-    weights = np.exp(a - top)
+    # beta >= 0, so beta * E is monotone in E and its extremes bound it
+    top = beta * high
+    if not (math.isfinite(beta * low) and math.isfinite(top)):
+        raise NumericError(
+            f"beta * energy overflows at beta = {beta}, energies in [{low}, {high}]"
+        )
+    # one exp pass gives both: free = log sum exp(beta E) and the Gibbs weights
+    weights = np.exp(beta * energies - top)
     total = weights.sum()
     return SKResult(
         free_energy=float(top + math.log(total)),

@@ -11,8 +11,8 @@ take the same inputs as the ``flucert`` solvers and return plain values.
 The second half keeps the earlier forms of the per-replicate hot paths, which
 the current ones must match bit for bit: the dense nearest-neighbor sum, the
 resampling sampler with unbounded tree queries, the two-draw Bernoulli
-coupling, the per-edge dict lookup of the schedule affinities and the FPP gap
-summed over vertex pairs.
+coupling, the exact Bernoulli TV summed in index order, the per-edge dict
+lookup of the schedule affinities and the FPP gap summed over vertex pairs.
 
 The last three are closed forms that no certificate path needs but the tests
 check the library against: the Hellinger affinity of one Bernoulli coordinate
@@ -34,6 +34,7 @@ from itertools import permutations
 import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
+from scipy.special import gammaln
 
 from flucert.errors import DomainError, ShapeError
 
@@ -358,6 +359,22 @@ def bernoulli_two_draws(n, alpha, rng):
     x = (base < 0.5).astype(np.int8)
     x_prime = np.where(force < eps, np.int8(1), x)
     return x, x_prime
+
+
+def bernoulli_exact_tv_in_order(n, eps):
+    """Exact Bernoulli TV with its terms summed by ``fsum`` in index order."""
+    if eps == 0.0:
+        return 0.0
+    k = np.arange(n + 1, dtype=float)
+    log_choose = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    log_fair = log_choose - n * math.log(2.0)
+    log_tilted = (
+        log_choose
+        + k * math.log((1.0 + eps) / 2.0)
+        + (n - k) * math.log((1.0 - eps) / 2.0)
+    )
+    diffs = np.abs(np.exp(log_fair) - np.exp(log_tilted))
+    return 0.5 * math.fsum(diffs.tolist())
 
 
 def schedule_rhos_by_dict(eps, affinity):

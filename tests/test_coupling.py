@@ -1,5 +1,6 @@
 """Tests for the certificate algebra and the Bernoulli coupling."""
 
+import bisect
 import math
 
 import numpy as np
@@ -19,7 +20,11 @@ from flucert.coupling import (
 )
 from flucert.errors import DomainError, SizeError
 from flucert.rng import seed_stream
-from oracles import bernoulli_coordinate_affinity, bernoulli_two_draws
+from oracles import (
+    bernoulli_coordinate_affinity,
+    bernoulli_exact_tv_in_order,
+    bernoulli_two_draws,
+)
 
 
 def certified_bound(p_close, tv):
@@ -115,6 +120,18 @@ class TestPerturbationPlan:
             PerturbationPlan("mixing", [0.1, bad], [0.9, 0.9])
 
 
+class _RawWords:
+    """A generator stub whose bit generator returns fixed raw words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = words
+
+    def random_raw(self, size):
+        assert size == self._words.size
+        return self._words
+
+
 class TestBernoulliMixing:
     def test_alpha_zero_identity(self):
         x, xp = bernoulli_mixing_coupling(64, 0.0, seed_stream(5))
@@ -143,6 +160,49 @@ class TestBernoulliMixing:
         np.testing.assert_array_equal(x, ox)
         np.testing.assert_array_equal(xp, oxp)
         assert stream.random() == oracle.random()  # same words consumed
+
+    @pytest.mark.parametrize(
+        "eps",
+        [0.0]
+        # eps equal to the uniform of k, including ties rounded up or down
+        + [k * 2.0**-53 + 2.0**-54 for k in (0, 1, 12345, 2**52 - 1, 2**52)]
+        + [k * 2.0**-53 + 2.0**-54 for k in (2**52 + 1, 2**52 + 2, 2**53 - 2)]
+        + [k * 2.0**-53 for k in (1, 3, 2**52 + 1, 2**52 + 2, 2**53 - 3)]
+        # eps between two uniforms, below and above their midpoint
+        + [(k + f) * 2.0**-53 for k in (0, 12345, 2**50) for f in (0.25, 0.75)]
+        + [0.05, 0.5, math.nextafter(1.0, 0.0), 1.0 - 2.0**-52],
+    )
+    def test_raw_word_threshold_edges(self, eps):
+        # words on each side of the integer bounds, with the 11 bits that the
+        # conversion to a double drops all 0 and all 1; the other half holds
+        # the top word, which sets no coin and forces nothing, so every
+        # comparison shows in the output; at n = 4, alpha = 2 eps is exact
+        def uniform(k):
+            return k * 2.0**-53 + 2.0**-54
+
+        top = 2**53
+        bound = bisect.bisect_left(range(top), True, key=lambda k: uniform(k) >= eps)
+
+        def near(edge):
+            return [
+                k << 11 | low
+                for k in (edge - 1, edge, edge + 1)
+                if 0 <= k < top
+                for low in (0, 2**11 - 1)
+            ]
+
+        quiet = [2**64 - 1] * 4
+        coins, forces = near(2**52), near(bound)
+        cases = [(coins[i : i + 4] + quiet)[:4] + quiet for i in (0, 4)]
+        cases += [quiet + (forces[i : i + 4] + quiet)[:4] for i in (0, 4)]
+        for raw in cases:
+            w = np.array(raw, dtype=np.uint64)
+            x, xp = bernoulli_mixing_coupling(4, 2.0 * eps, _RawWords(w))
+            u = (w >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+            ox = (u[:4] < 0.5).astype(np.int8)
+            np.testing.assert_array_equal(x, ox)
+            np.testing.assert_array_equal(xp, ox | (u[4:] < eps))
+            assert x.dtype == xp.dtype == np.int8
 
     def test_flip_probability(self):
         # X'_i = X_i + 1 fires with probability eps/2 per coordinate
@@ -202,6 +262,12 @@ class TestBernoulliExactTv:
                 plan = PerturbationPlan("mixing", np.full(n, eps), np.full(n, rho))
                 hell = product_tv_bound(plan)
                 assert bernoulli_exact_tv(n, eps) <= hell + 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 1600, 6400, 100000])
+    @pytest.mark.parametrize("eps", [1e-3, 0.0125, 0.1, 0.5, 0.99])
+    def test_matches_in_order_sum(self, n, eps):
+        # fsum is correctly rounded, so the order of the terms cannot matter
+        assert bernoulli_exact_tv(n, eps) == bernoulli_exact_tv_in_order(n, eps)
 
     def test_size_cap(self):
         with pytest.raises(SizeError):

@@ -5,7 +5,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from flucert.errors import DomainError
-from flucert.rng import seed_stream, uniform_open
+from flucert.rng import _KeyHolder, seed_stream, uniform_open
 
 
 def test_same_triple_reproduces():
@@ -41,6 +41,23 @@ def test_uniform_open_strictly_inside():
     assert np.all(u < 1.0)
 
 
+class _TopDraw:
+    """A generator stub whose every draw is the largest double below 1."""
+
+    def random(self, size=None):
+        top = 1.0 - 2.0**-53
+        return top if size is None else np.full(size, top)
+
+
+def test_uniform_open_top_draw_stays_below_one():
+    # (1 - 2**-53) + 2**-54 is a tie that rounds to 1.0
+    top = 1.0 - 2.0**-53
+    assert uniform_open(_TopDraw()) == top
+    for size in (3, (2, 2)):
+        u = uniform_open(_TopDraw(), size)
+        np.testing.assert_array_equal(u, np.full(size, top))
+
+
 @pytest.mark.parametrize(
     "seed, rep, coord",
     [
@@ -56,12 +73,13 @@ def test_key_is_seed_and_packed_indices(seed, rep, coord):
     # the 128-bit integer form of the key: low word seed, high word packed
     # indices; no float conversion can touch it
     key = seed | (rep << 32 | coord) << 64
-    expected = Generator(Philox(key=key)).random(64)
+    keyed = Philox(key=key)
     stream = seed_stream(seed, rep, coord)
-    assert stream.bit_generator.state["state"]["key"].tolist() == [
-        seed,
-        rep << 32 | coord,
-    ]
+    state = stream.bit_generator.state["state"]
+    assert state["key"].tolist() == [seed, rep << 32 | coord]
+    for part in ("key", "counter"):
+        assert state[part].tolist() == keyed.state["state"][part].tolist()
+    expected = Generator(keyed).random(64)
     np.testing.assert_array_equal(stream.random(64), expected)
     if seed == 2**64 - 1 and rep == coord == 2**32 - 1:
         # both words at or above 2**63: the tuple form is exact here too
@@ -93,3 +111,21 @@ def test_interleaved_streams_match_streams_drawn_alone():
             out.append(stream.random(size))
     for expected, out in zip(alone, chunks):
         np.testing.assert_array_equal(np.concatenate(out), expected)
+
+
+@pytest.mark.skipif(
+    not hasattr(Generator, "spawn"), reason="Generator.spawn is new in numpy 1.25"
+)
+def test_stream_cannot_spawn():
+    with pytest.raises(TypeError):
+        seed_stream(4, 1, 2).spawn(1)
+
+
+@pytest.mark.parametrize(
+    "n_words, dtype", [(2, np.uint32), (4, np.uint64), (1, np.uint64)]
+)
+def test_key_holder_answers_only_the_philox_request(n_words, dtype):
+    holder = _KeyHolder(3, 4)
+    assert holder.generate_state(2, np.uint64).tolist() == [3, 4]
+    with pytest.raises(DomainError):
+        holder.generate_state(n_words, dtype)

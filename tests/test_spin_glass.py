@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from flucert.errors import DomainError, ShapeError, SizeError
+from flucert.errors import DomainError, NumericError, ShapeError, SizeError
 from flucert.rng import seed_stream
 from flucert.spin_glass import (
     MAX_SPINS,
@@ -199,6 +199,11 @@ class TestEnergyTableChecks:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError):
             result_from_energies(np.array([0.0, bad, 1.0, 2.0]), 1.0)
+
+    def test_overflowing_beta_energy_rejected(self):
+        # beta * E is +-inf here; the exp pass would give SKResult(nan, nan)
+        with pytest.raises(NumericError):
+            result_from_energies(np.array([1e308, -1e308]), 10.0)
 
     @pytest.mark.parametrize("table", [np.array([]), np.zeros((2, 2)), 1.0])
     def test_not_a_non_empty_vector_rejected(self, table):
