@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .densities import AffinityResult
-from .errors import DomainError, ShapeError, whole
+from .errors import DomainError, ShapeError, real, whole
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,7 @@ def invert_perturbation(a, alpha, n):
     a* = (1/n)(1 + alpha n^-1/2), so each branch inverts exactly.
     """
     n = whole(n, "n")
-    alpha = float(alpha)
-    if not 0.0 <= alpha < math.inf:
-        raise DomainError(f"need finite alpha >= 0, got {alpha}")
+    alpha = real(alpha, "alpha", 0, math.inf, "[)")
     a = np.asarray(a, dtype=float)
     if not np.all(a >= 0.0):
         raise DomainError("perturbed costs must be nonnegative")
@@ -104,12 +102,9 @@ def perturbation_affinity(f, alpha, n):
     """
     _check_exponential(f)
     n = whole(n, "n")
-    alpha = float(alpha)
-    eps = alpha / n
+    eps = real(real(alpha, "alpha") / n, "alpha / n", 0, 0.5, "[)")
     if eps == 0.0:
         return AffinityResult(1.0, 0.0)
-    if not 0.0 < eps < 0.5:
-        raise DomainError(f"alpha/n = {eps} must lie in (0, 1/2)")
     root_n = math.sqrt(n)
     slope = 1.0 + eps * root_n
     low_mass = -math.expm1(-(1.0 + slope) / (2.0 * n))
@@ -132,7 +127,6 @@ class GapCertificate:
 
     cost: float
     cost_perturbed: float
-    big_row_count: int  # rows whose minimum cost is at least 1/n
     lower_bound: float
     holds: bool
 
@@ -146,7 +140,7 @@ def gap_certificate(cm, alpha):
     certified lower bound on cost - cost_perturbed.
     """
     n = cm.n
-    alpha = float(alpha)
+    alpha = real(alpha, "alpha")
     perturbed = perturb_costs(cm, alpha)
     base = hungarian(cm)
     prime = hungarian(perturbed)
@@ -157,7 +151,6 @@ def gap_certificate(cm, alpha):
     return GapCertificate(
         cost=base.cost,
         cost_perturbed=prime.cost,
-        big_row_count=big_rows,
         lower_bound=lower,
         holds=bool(holds),
     )

@@ -20,23 +20,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, SizeError, whole
+from .errors import DomainError, SizeError, real, whole
 
 PLAN_KINDS = ("scale", "mixing", "nonlinear", "edge-graded")
 #: a raw word w gives a uniform below 1/2 exactly when w < 2**63
 _HALF_WORDS = np.uint64(2**63)
 
 
-def _check_unit(value, name):
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
 def tv_upper_from_affinity(rho):
     """Total variation is at most sqrt(1 - rho^2) at Hellinger affinity rho."""
-    rho = _check_unit(rho, "rho")
+    rho = real(rho, "rho", 0, 1, "[]")
     return math.sqrt((1.0 - rho) * (1.0 + rho))
 
 
@@ -117,9 +110,7 @@ def bernoulli_mixing_coupling(n, alpha, rng):
     ``np.uint64`` so that no NumPy version compares through float64.
     """
     n = whole(n, "n")
-    eps = float(alpha) / math.sqrt(n)
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(f"alpha / sqrt(n) = {eps} must lie in [0, 1)")
+    eps = real(real(alpha, "alpha") / math.sqrt(n), "alpha / sqrt(n)", 0, 1, "[)")
     w = rng.bit_generator.random_raw(2 * n)
     x = (w[:n] < _HALF_WORDS).view(np.int8)
     x_prime = x | (w[n:] < _below_eps_words(eps))
@@ -135,9 +126,7 @@ def bernoulli_exact_tv(n, eps):
     n = whole(n, "n")
     if n > 100000:
         raise SizeError(f"n = {n} risks overflow; supported up to 100000")
-    eps = float(eps)
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(f"eps must lie in [0, 1), got {eps}")
+    eps = real(eps, "eps", 0, 1, "[)")
     if eps == 0.0:
         return 0.0
     k = np.arange(n + 1, dtype=float)
@@ -157,9 +146,7 @@ def bernoulli_exact_tv(n, eps):
 def hoeffding_slack(n, confidence):
     """Two-sided Hoeffding deviation for a mean of n indicator samples."""
     n = whole(n, "indicator count")
-    confidence = float(confidence)
-    if not 0.0 < confidence < 1.0:
-        raise DomainError(f"confidence must lie in (0, 1), got {confidence}")
+    confidence = real(confidence, "confidence", 0, 1)
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
 
 
@@ -179,14 +166,14 @@ class CouplingCertificate:
     bound: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.delta < math.inf:
-            raise DomainError(f"delta must be finite and nonnegative, got {self.delta}")
-        _check_unit(self.p_close_hat, "p_close_hat")
-        if not self.p_close_slack >= 0.0:
-            raise DomainError(f"slack must be nonnegative, got {self.p_close_slack}")
-        _check_unit(self.tv_bound, "tv_bound")
-        if not 0.0 < self.confidence < 1.0:
-            raise DomainError("confidence must lie in (0, 1)")
+        for key, high, ends in (
+            ("delta", math.inf, "[)"),
+            ("p_close_hat", 1, "[]"),
+            ("p_close_slack", math.inf, "[]"),
+            ("tv_bound", 1, "[]"),
+            ("confidence", 1, "()"),
+        ):
+            object.__setattr__(self, key, real(getattr(self, key), key, 0, high, ends))
         p_upper = min(1.0, self.p_close_hat + self.p_close_slack)
         object.__setattr__(
             self, "bound", min(1.0, 0.5 * (1.0 + p_upper + self.tv_bound))
@@ -204,10 +191,4 @@ def certify(samples_close_indicator, tv_bound, confidence, delta=0.0):
     if np.any((ind != 0.0) & (ind != 1.0)):
         raise DomainError("indicators must be 0/1")
     slack = hoeffding_slack(ind.size, confidence)
-    return CouplingCertificate(
-        delta=float(delta),
-        p_close_hat=float(ind.mean()),
-        p_close_slack=slack,
-        tv_bound=float(tv_bound),
-        confidence=float(confidence),
-    )
+    return CouplingCertificate(delta, ind.mean(), slack, tv_bound, confidence)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, DomainError, whole
+from .errors import ConfigError, real, whole
 from .rng import uniform_open
 
 
@@ -41,10 +41,9 @@ class AffinityResult:
     quadrature_error_estimate: float
 
     def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise DomainError(f"affinity {self.rho} outside [0, 1]")
-        if not self.quadrature_error_estimate >= 0.0:  # NaN fails it too
-            raise DomainError("error estimate must be nonnegative")
+        for key, high in (("rho", 1), ("quadrature_error_estimate", math.inf)):
+            value = real(getattr(self, key), key, 0, high, "[]")
+            object.__setattr__(self, key, value)
 
 
 #: the built-in densities, one object per name
@@ -73,7 +72,7 @@ def sample_iid(f, n, rng):
     return f.ppf(uniform_open(rng, whole(n, "n")))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a bool key is not the int 0 or 1
 def scaled_affinity(f, eps):
     """Affinity between f and the law of X/(1+eps) for X ~ f, in closed form.
 
@@ -81,9 +80,7 @@ def scaled_affinity(f, eps):
     1 - O(eps^2).  It is evaluated in logs, from log1p(eps) and
     expm1(p log1p(eps)) = s^p - 1, so rho comes out within an ulp.
     """
-    eps = float(eps)
-    if not -0.5 < eps < 0.5:
-        raise DomainError(f"scaling eps must lie in (-1/2, 1/2), got {eps}")
+    eps = real(eps, "eps", -0.5, 0.5)
     p = f.exponent
     log_s = math.log1p(eps)
     rho = math.exp(0.5 * log_s - math.log1p(0.5 * math.expm1(p * log_s)) / p)

@@ -25,6 +25,7 @@ from .errors import (
     InternalConsistencyError,
     ShapeError,
     SizeError,
+    real,
     whole,
 )
 from .rng import uniform_open
@@ -65,7 +66,7 @@ class PointSet:
         return self.points.shape[0]
 
     def scaled(self, factor):
-        return PointSet(self.dim, self.points * float(factor))
+        return PointSet(self.dim, self.points * real(factor, "factor"))
 
 
 @dataclass(frozen=True)
@@ -81,18 +82,40 @@ def distance_matrix(ps):
     return np.sqrt(np.square(diff).sum(axis=2))
 
 
-def tour_length(ps, order):
-    """Length of the closed tour visiting points in the given order."""
-    pts = ps.points[np.asarray(order, dtype=int)]
+def _check_cover(indices, n, witness):
+    """``indices`` as ints if they list each of 0 .. n-1 once, else ``DomainError``."""
+    name = f"{witness} index"
+    indices = [whole(i, name, 0, n) for i in indices]
+    if sorted(indices) != list(range(n)):
+        raise DomainError(f"a {witness} must cover each of the {n} points once")
+    return indices
+
+
+def _closed_length(pts):
     seg = pts - np.roll(pts, -1, axis=0)
     return float(np.sqrt(np.square(seg).sum(axis=1)).sum())
 
 
-def matching_length(ps, pairs):
+def tour_length(ps, order):
+    """Length of the closed tour visiting every point once, in the given order."""
+    return _closed_length(ps.points[_check_cover(order, ps.n, "tour")])
+
+
+def _pairs_length(ps, pairs):
     total = 0.0
     for i, j in pairs:
         total += float(np.linalg.norm(ps.points[i] - ps.points[j]))
     return total
+
+
+def matching_length(ps, pairs):
+    """Length of a perfect matching of the points, given as index pairs."""
+    try:
+        ends = [k for i, j in pairs for k in (i, j)]
+    except (TypeError, ValueError):  # an entry that is not a pair
+        raise DomainError("a matching is a sequence of index pairs") from None
+    _check_cover(ends, ps.n, "matching")
+    return _pairs_length(ps, pairs)
 
 
 def _subsets(k):
@@ -180,7 +203,8 @@ def tsp_exact(ps):
         j = k
     order.append(0)
     order.reverse()
-    return FunctionalValue(tour_length(ps, order), tuple(order))
+    # the witness is a tour by construction, so its length skips the check
+    return FunctionalValue(_closed_length(ps.points[order]), tuple(order))
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +258,8 @@ def matching_exact(ps):
     among equal costs.  The index tables depend only on n; they are built on
     the first call for that n and cached, frozen, for later calls (about
     0.3 MiB at n = MATCHING_MAX = 16).  The value is recomputed from the
-    witness pairs by ``matching_length``.
+    witness pairs, a perfect matching by construction, as ``matching_length``
+    would.
     """
     n = ps.n
     if n % 2 != 0 or n < 2 or n > MATCHING_MAX:
@@ -261,7 +286,7 @@ def matching_exact(ps):
         pairs.append((low.bit_length() - 1, (pair ^ low).bit_length() - 1))
         mask = before
     pairs.reverse()
-    return FunctionalValue(matching_length(ps, pairs), tuple(pairs))
+    return FunctionalValue(_pairs_length(ps, pairs), tuple(pairs))
 
 
 def nn_sum(ps):
@@ -299,12 +324,9 @@ def scaling_coupling(ps, alpha, r, kind, density):
     re-evaluating the functional on the scaled points; disagreement beyond
     1e-9 relative means the functional is not homogeneous of degree r.
     """
-    if not 0.0 < r < math.inf:  # NaN fails it too
-        raise DomainError(f"degree r must be finite and positive, got {r}")
+    r = real(r, "degree r", 0)
     n = ps.n
-    eps = float(alpha) / math.sqrt(n)
-    if not 0.0 <= eps < 0.5:
-        raise DomainError(f"alpha n^-1/2 = {eps} must lie in [0, 1/2)")
+    eps = real(real(alpha, "alpha") / math.sqrt(n), "alpha / sqrt(n)", 0, 0.5, "[)")
     base = evaluate_functional(ps, kind)
     identity_value = base.value / (1.0 + eps) ** r
     rescaled = evaluate_functional(ps.scaled(1.0 / (1.0 + eps)), kind)
@@ -345,12 +367,8 @@ def rhee_mixture_affinity(vol, theta):
     (1 - vol) sqrt(1 - theta) + vol sqrt(1 - theta + theta/vol), an exact
     finite formula.
     """
-    vol = float(vol)
-    theta = float(theta)
-    if not 0.0 < vol <= 1.0:
-        raise DomainError(f"volume must lie in (0, 1], got {vol}")
-    if not 0.0 <= theta < 1.0:
-        raise DomainError(f"mixing rate must lie in [0, 1), got {theta}")
+    vol = real(vol, "vol", 0, 1, "(]")
+    theta = real(theta, "theta", 0, 1, "[)")
     rho = (1.0 - vol) * math.sqrt(1.0 - theta) + vol * math.sqrt(
         1.0 - theta + theta / vol
     )
@@ -371,12 +389,8 @@ def rhee_coupling_sample(n, alpha, beta, rng, probes=100000):
     """
     n = whole(n, "n", 8)
     probes = whole(probes, "probes")
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    theta = float(beta) / math.sqrt(n)
-    if not 0.0 <= theta < 1.0:
-        raise DomainError(f"beta n^-1/2 = {theta} must lie in [0, 1)")
+    alpha = real(alpha, "alpha", 0, 1)
+    theta = real(real(beta, "beta") / math.sqrt(n), "beta / sqrt(n)", 0, 1, "[)")
     m = n // 2
     radius = alpha * n ** (-1.0 / 2.0)  # alpha * n^(-1/d) with d = 2
     cutoff = radius * (1.0 + 1e-9)

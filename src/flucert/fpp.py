@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .coupling import PerturbationPlan, product_tv_bound
 from .densities import scaled_affinity
-from .errors import ConfigError, DomainError, NumericError, ShapeError, whole
+from .errors import ConfigError, DomainError, NumericError, ShapeError, real, whole
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def _source_graph_distance(grid):
 
 def _graded_eps(k, alpha, n):
     """Strength alpha / ((k + 1) sqrt(log n)) at graph distance k."""
-    return float(alpha) / ((np.asarray(k, dtype=float) + 1.0) * math.sqrt(math.log(n)))
+    return alpha / ((np.asarray(k, dtype=float) + 1.0) * math.sqrt(math.log(n)))
 
 
 def graded_schedule(grid, alpha, n):
@@ -161,13 +161,8 @@ def graded_schedule(grid, alpha, n):
     below 1/2 for the per-edge affinities to exist.
     """
     n = whole(n, "n", 5)  # so that log n > 1
-    if not float(alpha) > 0.0:
-        raise DomainError("alpha must be positive")
-    eps0 = _graded_eps(0, alpha, n)
-    if eps0 >= 0.5:
-        raise DomainError(
-            f"source strength alpha / sqrt(log n) = {eps0:.3f} must be below 1/2"
-        )
+    alpha = real(alpha, "alpha", 0, math.inf)
+    real(_graded_eps(0, alpha, n), "alpha / sqrt(log n)", 0, 0.5, "[)")
     k_vertex = _source_graph_distance(grid)
     k_h = np.minimum(k_vertex[:-1, :], k_vertex[1:, :])
     k_v = np.minimum(k_vertex[:, :-1], k_vertex[:, 1:])

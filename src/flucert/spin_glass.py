@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError, SizeError, whole
+from .errors import DomainError, NumericError, ShapeError, SizeError, real, whole
 
 MAX_SPINS = 20
 
@@ -93,11 +93,7 @@ def result_from_energies(energies, beta):
 
     Raises ``NumericError`` when beta times an energy overflows.
     """
-    beta = float(beta)
-    if not 0.0 <= beta < math.inf:
-        raise DomainError(
-            f"inverse temperature must be finite and nonnegative, got {beta}"
-        )
+    beta = real(beta, "beta", 0, math.inf, "[)")
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size == 0:
         raise ShapeError(
@@ -131,10 +127,7 @@ def _check_table_length(energies, n):
 
 def _shrink(n, alpha):
     """The factor 1 - alpha/n, for alpha/n in (-1/2, 1/2)."""
-    shrink = 1.0 - float(alpha) / n
-    if not 0.5 < shrink < 1.5:
-        raise DomainError(f"alpha/n = {float(alpha) / n} must lie in (-1/2, 1/2)")
-    return shrink
+    return 1.0 - real(real(alpha, "alpha") / n, "alpha / n", -0.5, 0.5)
 
 
 def scale_disorder(dis, alpha):
@@ -150,11 +143,12 @@ def jensen_gap_check(dis, alpha, beta, energies, scaled_energies):
     ``energies`` and ``scaled_energies`` are the 2^n energy tables of the
     disorder and of its scaled copy, from ``enumerate_energies``.
     """
+    alpha, beta = real(alpha, "alpha"), real(beta, "beta")
     shrink = _shrink(dis.n, alpha)
     _check_table_length(energies, dis.n)
     _check_table_length(scaled_energies, dis.n)
     base = result_from_energies(energies, beta)
     scaled = result_from_energies(scaled_energies, beta)
     lhs = scaled.free_energy - base.free_energy
-    rhs = float(beta) * float(alpha) * base.gibbs_energy / (dis.n * shrink)
+    rhs = beta * alpha * base.gibbs_energy / (dis.n * shrink)
     return lhs, rhs, bool(lhs >= rhs - 1e-10)

@@ -115,6 +115,16 @@ def test_scaled_affinity_domain():
             scaled_affinity(f, eps)
 
 
+@pytest.mark.parametrize("false", [False, np.False_], ids=["bool", "numpy bool"])
+def test_cached_zero_does_not_admit_a_bool(false):
+    # False == 0 and hashes like it: an untyped cache key would return the
+    # cached result at eps = 0 without checking the argument
+    f = standard_density("std-gaussian")
+    assert scaled_affinity(f, 0).rho == 1.0
+    with pytest.raises(DomainError, match="need a real eps "):
+        scaled_affinity(f, false)
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_quadratic_affinity_law(name):
     # (1 - rho(eps)) / eps^2 stays within 10% across a dyadic eps grid

@@ -1,24 +1,32 @@
-"""Every size, count and index enters through ``errors.whole``, and no NaN or
-infinite array enters at all.
+"""Every size, count and index enters through ``errors.whole``, every scalar
+real parameter through ``errors.real``, and no NaN or infinite array enters
+at all.
 
 One table lists each entry point that takes a count, as a call of the count
 alone, with a value it accepts and an integer just outside its range.  Each
 entry must reject a non-integral, boolean or out-of-range count with a
 ``DomainError`` that names the argument, and accept NumPy integers.  A second
-table lists the entry points that take a float array; each must reject one
-NaN or infinite entry with a ``DomainError`` that names the argument.
+table does the same for the real parameters: each entry must reject a bool, a
+str, None, an array, NaN and a value outside its interval with a
+``DomainError`` that names the argument, and accept Python and NumPy numbers.
+A third table lists the entry points that take a float array; each must reject
+one NaN or infinite entry with a ``DomainError`` that names the argument.
 """
 
 import math
+import re
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from flucert import assignment, coupling, densities, euclidean, fpp, random_matrix
 from flucert import rng, spin_glass
-from flucert.errors import DomainError, whole
+from flucert.errors import DomainError, real, whole
 
 EXPO = densities.standard_density("exponential-rate-1")
+GAUSS = densities.standard_density("std-gaussian")
 
 
 def grid(width=3, height=3, source=(0, 0), target=(2, 2), side=3):
@@ -102,7 +110,7 @@ ENTRIES = [
     (
         "MatrixEnsembleSpec order",
         "order",
-        lambda k: random_matrix.MatrixEnsembleSpec("wigner", k),
+        lambda k: random_matrix.covariance_spec(k, 8),
         3,
         0,
     ),
@@ -164,15 +172,204 @@ def test_numpy_integers_accepted(entry, name, call, good, out, to_numpy):
 
 
 COVARIANCE = random_matrix.covariance_spec(2, 4)
+COVARIANCE_INPUTS = np.arange(1.0, 9.0) ** 2 / 8  # a full-rank covariance
+POINTS = euclidean.PointSet(2, rng.uniform_open(rng.seed_stream(1), (16, 2)))
+COSTS = assignment.CostMatrix(3, np.arange(1.0, 10.0).reshape(3, 3) / 10)
+DISORDER = spin_glass.SKDisorder(3, np.array([0.5, -1.0, 2.0]))
+ENERGIES = spin_glass.enumerate_energies(DISORDER)
+CERTIFICATE = dict(
+    delta=1, p_close_hat=0.5, p_close_slack=0, tv_bound=1, confidence=0.9
+)
+
+
+def certificate(field, value):
+    return coupling.CouplingCertificate(**{**CERTIFICATE, field: value})
+
+
+def jensen(alpha=1, beta=1):
+    return spin_glass.jensen_gap_check(DISORDER, alpha, beta, ENERGIES, ENERGIES)
+
+
+def rhee(alpha=0.3, beta=1):
+    return euclidean.rhee_coupling_sample(16, alpha, beta, rng.seed_stream(1), 500)
+
+
+# (id, name the message starts with, call of the real, accepted value, value
+# outside the interval); a whole accepted value is tried as an int too, but
+# (0, 1) holds no integer
+REALS = [
+    ("tv_upper_from_affinity", "rho", coupling.tv_upper_from_affinity, 1, 1.5),
+    (
+        "bernoulli_mixing_coupling",
+        "alpha",
+        lambda x: coupling.bernoulli_mixing_coupling(4, x, rng.seed_stream(1)),
+        1,
+        2,
+    ),
+    ("bernoulli_exact_tv", "eps", lambda x: coupling.bernoulli_exact_tv(4, x), 0, 1),
+    (
+        "hoeffding_slack",
+        "confidence",
+        lambda x: coupling.hoeffding_slack(10, x),
+        0.9,
+        1,
+    ),
+    *[
+        (f"CouplingCertificate {field}", field, partial(certificate, field), good, out)
+        for field, good, out in [
+            ("delta", 1, -1),
+            ("p_close_hat", 1, 2),
+            ("p_close_slack", 0, -1),
+            ("tv_bound", 1, 2),
+            ("confidence", 0.9, 0),
+        ]
+    ],
+    ("certify delta", "delta", lambda x: coupling.certify([1, 0], 1, 0.9, x), 1, -1),
+    ("certify tv_bound", "tv_bound", lambda x: coupling.certify([1, 0], x, 0.9), 1, 2),
+    (
+        "certify confidence",
+        "confidence",
+        lambda x: coupling.certify([1, 0], 1, x),
+        0.9,
+        1,
+    ),
+    ("scaled_affinity", "eps", lambda x: densities.scaled_affinity(GAUSS, x), 0, 0.5),
+    ("AffinityResult rho", "rho", lambda x: densities.AffinityResult(x, 0), 1, 2),
+    (
+        "AffinityResult quadrature_error_estimate",
+        "quadrature_error_estimate",
+        lambda x: densities.AffinityResult(1, x),
+        0,
+        -1,
+    ),
+    (
+        "scaling_coupling alpha",
+        "alpha",
+        lambda x: euclidean.scaling_coupling(POINTS, x, 1, "nn-sum", GAUSS),
+        1,
+        2,
+    ),
+    (
+        "scaling_coupling r",
+        "degree r",
+        lambda x: euclidean.scaling_coupling(POINTS, 1, x, "nn-sum", GAUSS),
+        1,
+        0,
+    ),
+    ("PointSet.scaled", "factor", POINTS.scaled, 2, math.inf),
+    (
+        "rhee_mixture_affinity vol",
+        "vol",
+        lambda x: euclidean.rhee_mixture_affinity(x, 0.5),
+        1,
+        0,
+    ),
+    (
+        "rhee_mixture_affinity theta",
+        "theta",
+        lambda x: euclidean.rhee_mixture_affinity(0.5, x),
+        0,
+        1,
+    ),
+    ("rhee_coupling_sample alpha", "alpha", lambda x: rhee(alpha=x), 0.3, 1),
+    ("rhee_coupling_sample beta", "beta", lambda x: rhee(beta=x), 1, 4),
+    (
+        "graded_schedule",
+        "alpha",
+        lambda x: fpp.graded_schedule(grid(), x, 10**6),
+        1,
+        2,
+    ),
+    (
+        "invert_perturbation",
+        "alpha",
+        lambda x: assignment.invert_perturbation(0.5, x, 4),
+        1,
+        -1,
+    ),
+    (
+        "perturbation_affinity",
+        "alpha",
+        lambda x: assignment.perturbation_affinity(EXPO, x, 4),
+        1,
+        2,
+    ),
+    (
+        "gap_certificate",
+        "alpha",
+        lambda x: assignment.gap_certificate(COSTS, x),
+        1,
+        -1,
+    ),
+    (
+        "result_from_energies",
+        "beta",
+        lambda x: spin_glass.result_from_energies(ENERGIES, x),
+        1,
+        -1,
+    ),
+    (
+        "scale_disorder",
+        "alpha",
+        lambda x: spin_glass.scale_disorder(DISORDER, x),
+        1,
+        2,
+    ),
+    ("jensen_gap_check alpha", "alpha", lambda x: jensen(alpha=x), 1, 2),
+    ("jensen_gap_check beta", "beta", lambda x: jensen(beta=x), 1, -1),
+    (
+        "scaling_shift_check",
+        "alpha",
+        lambda x: random_matrix.scaling_shift_check(COVARIANCE, COVARIANCE_INPUTS, x),
+        1,
+        2,
+    ),
+]
+
+BAD_REALS = {
+    "bool": lambda out: True,
+    "numpy bool": lambda out: np.True_,
+    "str": lambda out: "0.5",
+    "none": lambda out: None,
+    "array": lambda out: np.array([0.5]),
+    "nan": lambda out: math.nan,
+    "out of range": lambda out: out,
+}
+
+#: ``scaled_affinity`` stays an ``lru_cache``, whose cache info the benchmark
+#: reads.  The cache hashes the arguments before the function runs, so an
+#: unhashable array raises ``TypeError`` there instead of ``DomainError``.
+UNHASHABLE = {("scaled_affinity", "array")}
+
+REAL_IDS = [entry[0] for entry in REALS]
+
+
+@pytest.mark.parametrize("kind", list(BAD_REALS))
+@pytest.mark.parametrize("entry, name, call, good, out", REALS, ids=REAL_IDS)
+def test_bad_real_rejected_at_entry(entry, name, call, good, out, kind):
+    if (entry, kind) in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            call(BAD_REALS[kind](out))
+        return
+    with pytest.raises(DomainError, match=f"^need a real {re.escape(name)} "):
+        call(BAD_REALS[kind](out))
+
+
+ACCEPTED_REALS = [
+    pytest.param(call, convert(good), id=f"{entry}-{convert.__name__}")
+    for entry, _name, call, good, _out in REALS
+    for convert in (np.float64, int, np.int64)
+    if convert is np.float64 or float(good).is_integer()
+]
+
+
+@pytest.mark.parametrize("call, value", ACCEPTED_REALS)
+def test_python_and_numpy_reals_accepted(call, value):
+    call(value)
+
 
 # (id, name in the message, call of a finite float array, length it needs)
 ARRAYS = [
-    (
-        "build wigner",
-        "inputs",
-        lambda a: random_matrix.build(random_matrix.MatrixEnsembleSpec("wigner", 2), a),
-        3,
-    ),
     ("build covariance", "inputs", lambda a: random_matrix.build(COVARIANCE, a), 8),
     (
         "scaling_shift_check",
@@ -222,3 +419,56 @@ class TestWhole:
     def test_non_integers_rejected(self, value):
         with pytest.raises(DomainError):
             whole(value, "k", 0)
+
+
+class TestReal:
+    @pytest.mark.parametrize(
+        "value", [0, 0.25, np.float32(0.5), np.int8(1), np.uint64(1), Fraction(1, 3)]
+    )
+    def test_returns_a_python_float(self, value):
+        x = real(value, "x", 0, 1, "[]")
+        assert x == float(value) and type(x) is float
+
+    @pytest.mark.parametrize("ends", ["[]", "[)", "(]", "()"])
+    def test_each_end_open_or_closed(self, ends):
+        assert real(0.5, "x", 0, 1, ends) == 0.5
+        for value, bracket in ((0, ends[0]), (1, ends[1])):
+            if bracket in "[]":
+                assert real(value, "x", 0, 1, ends) == value
+            else:
+                message = f"need a real x in {ends[0]}0, 1{ends[1]}, got {value}"
+                with pytest.raises(DomainError, match=re.escape(message)):
+                    real(value, "x", 0, 1, ends)
+
+    def test_default_is_every_finite_real(self):
+        assert real(-1e308, "x") == -1e308
+        for value in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match=r"need a real x in \(-inf, inf\)"):
+                real(value, "x")
+
+    def test_closed_infinite_end_admits_inf(self):
+        assert real(math.inf, "x", 0, math.inf, "[]") == math.inf
+
+    def test_message_names_argument_and_interval(self):
+        message = "need a real alpha in [0, 0.5), got 2.5"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            real(2.5, "alpha", 0, 0.5, "[)")
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            False,
+            np.bool_(False),
+            "0.5",
+            None,
+            [0.5],
+            np.array(0.5),
+            np.array([0.5]),
+            0.5j,
+            np.float64(math.nan),
+            10**400,
+        ],
+    )
+    def test_non_reals_rejected(self, value):
+        with pytest.raises(DomainError, match="need a real x "):
+            real(value, "x")

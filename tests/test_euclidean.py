@@ -129,7 +129,7 @@ class TestTspExact:
     def test_witness_recomputes(self):
         ps = random_points(9, 3)
         res = tsp_exact(ps)
-        assert tour_length(ps, res.witness) == pytest.approx(res.value, abs=1e-12)
+        assert tour_length(ps, res.witness) == res.value
 
     def test_size_caps(self):
         with pytest.raises(SizeError):
@@ -190,9 +190,7 @@ class TestMatching:
             ps = random_points(8, 200 + seed)
             res = matching_exact(ps)
             assert res.value == pytest.approx(brute_force_matching(ps), abs=1e-10)
-            assert matching_length(ps, res.witness) == pytest.approx(
-                res.value, abs=1e-12
-            )
+            assert matching_length(ps, res.witness) == res.value
 
     def test_odd_rejected(self):
         with pytest.raises(SizeError):
@@ -217,6 +215,61 @@ class TestMatching:
         ps = random_points(MATCHING_MAX, 1799)
         res = matching_exact(ps)
         assert (res.value, res.witness) == matching_loop(ps)
+
+
+class TestWitnessLength:
+    """A length is taken only of a witness: a closed tour through every point
+    once, or a perfect matching of all the points."""
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [0, 1],
+            [0, 1, 1, 2],
+            [0, 1, 2, 3, 0],
+            [0, 1, 2, 4],
+            [0, 1, 2, -1],
+            [0, 1, 2, 3.0],
+            [False, True, 2, 3],
+            [],
+        ],
+    )
+    def test_non_tour_rejected(self, order):
+        with pytest.raises(DomainError, match="tour"):
+            tour_length(PointSet(2, UNIT_SQUARE), order)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, 0), (1, 1)],
+            [(0, 1)],
+            [(0, 1), (2, 3), (0, 1)],
+            [(0, 1), (2, 2)],
+            [(0, 1), (2, 4)],
+            [(0, 1, 2, 3)],
+            [(0, 1), (2,), (3,)],
+            [(0, 1), 2, 3],
+            [],
+        ],
+    )
+    def test_non_matching_rejected(self, pairs):
+        with pytest.raises(DomainError, match="matching"):
+            matching_length(PointSet(2, UNIT_SQUARE), pairs)
+
+    def test_values_on_witnesses_unchanged(self):
+        ps = random_points(8, 3)
+        order = [4, 0, 2, 6, 1, 3, 7, 5]
+        pts = ps.points[np.asarray(order)]
+        seg = pts - np.roll(pts, -1, axis=0)
+        tour = float(np.sqrt(np.square(seg).sum(axis=1)).sum())
+        assert tour_length(ps, order) == tour
+        assert tour_length(ps, np.array(order)) == tour
+        pairs = [(0, 5), (1, 2), (3, 7), (4, 6)]
+        total = 0.0
+        for i, j in pairs:
+            total += float(np.linalg.norm(ps.points[i] - ps.points[j]))
+        assert matching_length(ps, pairs) == total
+        assert matching_length(ps, np.array(pairs)) == total
 
 
 class TestNnSum:
@@ -319,7 +372,7 @@ class TestScalingCoupling:
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_degree_checked_at_entry(self, r):
         f = standard_density("std-gaussian")
-        with pytest.raises(DomainError, match="degree r"):
+        with pytest.raises(DomainError, match=r"^need a real degree r in \(0, inf\)"):
             scaling_coupling(random_points(8, 26), 0.5, r, "nn-sum", f)
 
     def test_nan_rescaled_value_detected(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""Tests for the random matrix ensembles and the log-determinant coupling."""
+"""Tests for the sample-covariance ensemble and the log-determinant coupling."""
 
 import math
 
@@ -9,7 +9,6 @@ from flucert import random_matrix
 from flucert.densities import sample_iid, standard_density
 from flucert.errors import DomainError, RankError, ShapeError
 from flucert.random_matrix import (
-    MatrixEnsembleSpec,
     build,
     covariance_spec,
     log_abs_det,
@@ -21,26 +20,28 @@ from oracles import lu_log_abs_det
 GAUSS = standard_density("std-gaussian")
 
 
-def wigner_spec(order):
-    return MatrixEnsembleSpec("wigner", order)
-
-
 def random_inputs(spec, seed):
     return sample_iid(GAUSS, spec.n_inputs, seed_stream(seed, spec.order, 0))
 
 
+def wigner(order, seed):
+    """A symmetric Gaussian matrix: indefinite, so its determinant takes both signs."""
+    inputs = sample_iid(GAUSS, order * (order + 1) // 2, seed_stream(seed, order, 0))
+    mat = np.zeros((order, order))
+    mat[np.triu_indices(order)] = inputs
+    return mat + np.tril(mat.T, k=-1)
+
+
 def assert_matches_oracle(mat):
-    got = log_abs_det(mat)
     value, sign = lu_log_abs_det(mat)
-    assert got.sign == sign != 0
-    assert got.log_abs_det == pytest.approx(value, rel=1e-11, abs=1e-11)
+    assert sign != 0
+    assert log_abs_det(mat) == pytest.approx(value, rel=1e-11, abs=1e-11)
 
 
 class TestLogAbsDet:
     @pytest.mark.parametrize("seed", range(20))
     def test_wigner_matches_lu_oracle(self, seed):
-        spec = wigner_spec(1 + 3 * seed)
-        assert_matches_oracle(build(spec, random_inputs(spec, seed)))
+        assert_matches_oracle(wigner(1 + 3 * seed, seed))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_covariance_matches_lu_oracle(self, seed):
@@ -49,16 +50,13 @@ class TestLogAbsDet:
         assert_matches_oracle(build(spec, random_inputs(spec, seed)))
 
     def test_sign_of_a_permutation(self):
-        swap = np.array([[0.0, 2.0], [3.0, 0.0]])
-        got = log_abs_det(swap)
-        assert got.sign == -1 and got.log_abs_det == pytest.approx(math.log(6.0))
+        swap = np.array([[0.0, 2.0], [3.0, 0.0]])  # det = -6
+        assert log_abs_det(swap) == pytest.approx(math.log(6.0))
 
     def test_zero_column_is_rank_deficient(self):
-        spec = wigner_spec(5)
-        mat = build(spec, random_inputs(spec, 1))
+        mat = wigner(5, 1)
         mat[:, 2] = 0.0
-        got = log_abs_det(mat)
-        assert got.sign == 0 and got.log_abs_det == -math.inf
+        assert log_abs_det(mat) == -math.inf
         assert lu_log_abs_det(mat) == (-math.inf, 0)
 
     @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
@@ -67,35 +65,31 @@ class TestLogAbsDet:
             log_abs_det(np.ones(shape))
 
 
-class TestSpec:
-    @pytest.mark.parametrize("order", [1, 2, 7])
-    def test_wigner_sizes(self, order):
-        spec = wigner_spec(order)
-        assert (spec.n_inputs, spec.degree) == (order * (order + 1) // 2, 1)
+#: (order, sample count) pairs no covariance spec accepts
+INVALID_SPECS = [
+    (0, 5),
+    (4, 4),
+    (1, 1),
+    (2.5, 10),
+    (math.nan, 10),
+    (3, 10.0),
+    (3, math.inf),
+]
 
+
+class TestSpec:
     @pytest.mark.parametrize("order, samples", [(1, 2), (6, 20), (160, 320)])
     def test_covariance_sizes(self, order, samples):
-        spec = covariance_spec(order, samples)
-        assert (spec.n_inputs, spec.degree) == (order * samples, 2)
+        assert covariance_spec(order, samples).n_inputs == order * samples
 
     @pytest.mark.parametrize(
-        "kind, order, samples",
-        [
-            ("wigner", 0, 0),
-            ("sample-covariance", 0, 5),
-            ("sample-covariance", 4, 4),
-            ("sample-covariance", 1, 1),
-            ("gue", 3, 0),
-            ("wigner", 3.0, 0),
-            ("sample-covariance", 2.5, 10),
-            ("sample-covariance", math.nan, 10),
-            ("sample-covariance", 3, 10.0),
-            ("sample-covariance", 3, math.inf),
-        ],
+        "order, samples",
+        INVALID_SPECS,
+        ids=[f"sample-covariance-{o}-{s}" for o, s in INVALID_SPECS],
     )
-    def test_invalid_specs_rejected(self, kind, order, samples):
+    def test_invalid_specs_rejected(self, order, samples):
         with pytest.raises(DomainError):
-            MatrixEnsembleSpec(kind, order, samples)
+            covariance_spec(order, samples)
 
     def test_numpy_integer_sizes_accepted(self):
         spec = covariance_spec(np.int64(4), np.int32(9))
@@ -112,14 +106,6 @@ class TestScalingShift:
         assert exact
         assert base - scaled == pytest.approx(shift, abs=1e-9)
         assert shift == pytest.approx(2 * 6 * math.log1p(1.0 / math.sqrt(6 * 20)))
-
-    def test_wigner_shift_has_degree_one(self):
-        spec = wigner_spec(7)
-        _base, _scaled, shift, exact = scaling_shift_check(
-            spec, random_inputs(spec, 3), 0.5
-        )
-        assert exact
-        assert shift == pytest.approx(7 * math.log1p(0.5 / math.sqrt(spec.n_inputs)))
 
     def test_singular_input_raises_rank_error(self):
         spec = covariance_spec(4, 10)
@@ -148,4 +134,4 @@ class TestScalingShift:
 
     def test_wrong_input_count(self):
         with pytest.raises(ShapeError):
-            build(wigner_spec(3), np.ones(5))
+            build(covariance_spec(3, 5), np.ones(16))
