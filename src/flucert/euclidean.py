@@ -146,10 +146,10 @@ def _held_karp_layers(m):
     """Index tables of the Held-Karp layers over m nodes, one per popcount.
 
     Layer s (s = 2..m) lists every pair (mask, j) with |mask| = s and j in
-    mask as three frozen index arrays: the flat slot ``mask * m + j`` of the
-    (2^m, m) table, the predecessor ``mask ^ (1 << j)`` and the end node j.
-    They depend on m alone; the size checks in ``tsp_exact`` bound the cache
-    to TSP_EXACT_MAX - 2 entries.
+    mask as four frozen index arrays: the flat slot ``mask * m + j`` of the
+    (2^m, m) table, the predecessor ``mask ^ (1 << j)``, the end node j and
+    the flat start ``pair * m`` of its candidate row.  They depend on m alone;
+    the size checks in ``tsp_exact`` bound the cache to TSP_EXACT_MAX - 2 entries.
     """
     masks, popcount, _ = _subsets(m)
     layers = []
@@ -157,7 +157,8 @@ def _held_karp_layers(m):
         layer = masks[popcount == size]
         row, end = np.nonzero((layer[:, None] >> np.arange(m)) & 1)
         mask = layer[row]
-        layers.append(_frozen(mask * m + end, mask ^ (1 << end), end))
+        rows = np.arange(row.size) * m
+        layers.append(_frozen(mask * m + end, mask ^ (1 << end), end, rows))
     return tuple(layers)
 
 
@@ -166,30 +167,33 @@ def tsp_exact(ps):
 
     Tours start at node 0.  One vectorized step per popcount layer relaxes
     every (subset, end node j) pair of the layer at once: the candidates are
-    dp[subset minus j] + dist[., j] and ``np.argmin`` keeps the first
-    minimum, so ties go to the smallest predecessor node.  The index tables
-    of each layer depend only on n; they are built on the first call for
-    that n and cached, frozen, for later calls (about 2.6 MiB at n =
-    TSP_EXACT_MAX = 15).
+    dp[subset minus j] + dist[j, .], which ``distance_matrix`` makes equal to
+    dist[., j], and ``ndarray.argmin`` keeps the first minimum of each row, so
+    ties go to the smallest predecessor node.  The index tables of each layer
+    depend only on n; they are built on the first call for that n and cached,
+    frozen, for later calls (about 3.5 MiB at n = TSP_EXACT_MAX = 15).
     """
     n = ps.n
     if n < 3 or n > TSP_EXACT_MAX:
         raise SizeError(f"tsp_exact supports 3 <= n <= {TSP_EXACT_MAX}, got {n}")
     dist = distance_matrix(ps)
     m = n - 1  # nodes 1..n-1, anchored at node 0
-    sub_t = dist[1:, 1:].T
+    sub = dist[1:, 1:]
     first_leg = dist[0, 1:]
     full = 1 << m
-    dp = np.full((full, m), np.inf)
-    parent = np.full((full, m), -1, dtype=np.int16)
+    dp = np.empty((full, m))
+    dp.fill(np.inf)
+    parent = np.empty((full, m), dtype=np.int16)
+    parent.fill(-1)
     nodes = np.arange(m)
     dp[1 << nodes, nodes] = first_leg
     flat_dp = dp.reshape(-1)
     flat_parent = parent.reshape(-1)
-    for slot, prev, end in _held_karp_layers(m):
-        cand = dp[prev] + sub_t[end]
-        k = np.argmin(cand, axis=1)
-        flat_dp[slot] = cand[np.arange(k.size), k]
+    for slot, prev, end, rows in _held_karp_layers(m):
+        cand = dp.take(prev, axis=0)  # a row gather, faster than dp[prev]
+        cand += sub.take(end, axis=0)
+        k = cand.argmin(1)
+        flat_dp[slot] = cand.ravel()[k + rows]
         flat_parent[slot] = k
     closing = dp[full - 1] + first_leg
     last = int(np.argmin(closing))
@@ -218,9 +222,10 @@ def _matching_layers(n):
     row of candidate (predecessor subset, flat index i * n + j of the pair
     distance) sorted by predecessor.  Candidates whose predecessor is never
     reached are left out; rows are padded to the layer's widest with the
-    sentinel predecessor 2^n, whose dp slot holds +inf.  The arrays are
-    frozen; the size checks in ``matching_exact`` bound the cache to
-    MATCHING_MAX // 2 entries.
+    sentinel predecessor 2^n, whose dp slot holds +inf.  The raveled
+    predecessors and the flat start ``row * width`` of each row follow.  The
+    arrays are frozen; the size checks in ``matching_exact`` bound the cache
+    to MATCHING_MAX // 2 entries.
     """
     full = 1 << n
     masks, popcount, trailing = _subsets(n)
@@ -244,7 +249,8 @@ def _matching_layers(n):
         pred[row, at] = new[row] ^ bits[col]
         pair = np.zeros(shape, dtype=int)
         pair[row, at] = first[col] * n + second[col]
-        layers.append(_frozen(new, pred, pair))
+        rows = np.arange(shape[0]) * shape[1]
+        layers.append(_frozen(new, pred, pair, pred.ravel(), rows))
     return tuple(layers)
 
 
@@ -254,12 +260,12 @@ def matching_exact(ps):
     Every step pairs the lowest unmatched point.  One vectorized step per
     popcount layer computes dp[subset] as the minimum over its candidate last
     pairs of dp[predecessor] + dist[i, j], with the candidates ordered by
-    predecessor subset so that ``np.argmin`` keeps the smallest predecessor
-    among equal costs.  The index tables depend only on n; they are built on
-    the first call for that n and cached, frozen, for later calls (about
-    0.3 MiB at n = MATCHING_MAX = 16).  The value is recomputed from the
-    witness pairs, a perfect matching by construction, as ``matching_length``
-    would.
+    predecessor subset so that ``ndarray.argmin`` keeps the smallest
+    predecessor among equal costs.  The index tables depend only on n; they
+    are built on the first call for that n and cached, frozen, for later
+    calls (about 0.3 MiB at n = MATCHING_MAX = 16).  The value is recomputed
+    from the witness pairs, a perfect matching by construction, as
+    ``matching_length`` would.
     """
     n = ps.n
     if n % 2 != 0 or n < 2 or n > MATCHING_MAX:
@@ -268,15 +274,16 @@ def matching_exact(ps):
         )
     pair_dist = distance_matrix(ps).reshape(-1)
     full = 1 << n
-    dp = np.full(full + 1, np.inf)  # slot 2^n is the padding sentinel
+    dp = np.empty(full + 1)
+    dp.fill(np.inf)  # slot 2^n is the padding sentinel
     dp[0] = 0.0
     prev = np.zeros(full, dtype=np.int64)
-    for new, pred, pair in _matching_layers(n):
-        cand = dp[pred] + pair_dist[pair]
-        k = np.argmin(cand, axis=1)
-        rows = np.arange(k.size)
-        dp[new] = cand[rows, k]
-        prev[new] = pred[rows, k]
+    for new, pred, pair, flat_pred, rows in _matching_layers(n):
+        cand = dp[pred]
+        cand += pair_dist[pair]
+        at = cand.argmin(1) + rows
+        dp[new] = cand.ravel()[at]
+        prev[new] = flat_pred[at]
     pairs = []
     mask = full - 1
     while mask:
@@ -324,8 +331,10 @@ def scaling_coupling(ps, alpha, r, kind, density):
     re-evaluating the functional on the scaled points; disagreement beyond
     1e-9 relative means the functional is not homogeneous of degree r.
     """
-    r = real(r, "degree r", 0)
     n = ps.n
+    if n < 2:
+        raise SizeError(f"scaling_coupling needs n >= 2 points, got {n}")
+    r = real(r, "degree r", 0)
     eps = real(real(alpha, "alpha") / math.sqrt(n), "alpha / sqrt(n)", 0, 0.5, "[)")
     base = evaluate_functional(ps, kind)
     identity_value = base.value / (1.0 + eps) ** r

@@ -2,10 +2,11 @@
 
 Vertices are (x, y) with 0 <= x < width and 0 <= y < height, with vertex id
 x * height + y; edges join nearest neighbors.  Every per-edge array (weights,
-schedule strengths, the csgraph's rows and columns, geodesic edges) uses one
-flat edge layout: the horizontal edges ``h.ravel()`` followed by the vertical
-edges ``v.ravel()``.  Passage times come from SciPy's compiled Dijkstra, and
-the geodesic witness is rebuilt from its predecessor array; when several
+schedule strengths, geodesic edges) uses one flat edge layout: the horizontal
+edges ``h.ravel()`` followed by the vertical edges ``v.ravel()``.  Passage
+times come from SciPy's compiled Dijkstra on a box graph whose structure
+depends on the box alone, built once per (width, height) and cached, frozen.
+The geodesic witness is rebuilt from the predecessor array; when several
 paths tie, any one of them is a valid witness for the certified gap.  The
 perturbation divides each edge weight by (1 + eps_e), with eps_e graded by
 the graph distance of the edge from the source.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -111,22 +113,38 @@ class EpsSchedule:
         return _flat(self.h_values, self.v_values)
 
 
+@lru_cache(maxsize=8)  # the last 8 boxes
+def _box_graph(width, height):
+    """Frozen CSR arrays of the box graph with both directions of every edge:
+    int32 ``indptr`` and ``indices`` (row u lists u + height, u + 1,
+    u - height, u - 1) and the flat edge index ``slot_edge`` of every slot."""
+    ids = np.arange(width * height).reshape(width, height)
+    lo, hi = _flat(ids[:-1, :], ids[:, :-1]), _flat(ids[1:, :], ids[:, 1:])
+    tail, head = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.argsort(tail, kind="stable")
+    indptr = np.r_[0, np.cumsum(np.bincount(tail))].astype(np.int32)
+    slot_edge = np.tile(np.arange(lo.size), 2)[order]
+    tables = (indptr, head[order].astype(np.int32), slot_edge)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def passage_time(grid):
     """Exact first-passage time and one geodesic from source to target.
 
-    ``scipy.sparse.csgraph.dijkstra`` on the box graph, with the geodesic
-    read back from its predecessor array.  A step from vertex id lo to
-    lo + height is edge lo; a step from lo to lo + 1 is edge
-    (width-1) * height + lo - lo // height.
+    ``scipy.sparse.csgraph.dijkstra``, directed, on the cached ``_box_graph``
+    with the grid's weights as data: each distance is the minimum over
+    neighbours u of dist[u] + w whatever the order of relaxation, and at a tie
+    any tied path is a valid witness.  A step from vertex id lo to lo + height
+    is edge lo; from lo to lo + 1, edge (width-1) * height + lo - lo // height.
     """
     w, h = grid.width, grid.height
-    ids = np.arange(w * h).reshape(w, h)
-    rows = _flat(ids[:-1, :], ids[:, :-1])
-    cols = _flat(ids[1:, :], ids[:, 1:])
+    indptr, indices, slot_edge = _box_graph(w, h)
     weights = _flat(grid.h_weights, grid.v_weights)
-    graph = csr_matrix((weights, (rows, cols)), shape=(w * h, w * h))
-    src, tgt = int(ids[grid.source]), int(ids[grid.target])
-    dist, pred = dijkstra(graph, directed=False, indices=src, return_predecessors=True)
+    graph = csr_matrix((weights[slot_edge], indices, indptr), shape=(w * h, w * h))
+    src, tgt = (x * h + y for x, y in (grid.source, grid.target))
+    dist, pred = dijkstra(graph, directed=True, indices=src, return_predecessors=True)
     if not np.isfinite(dist[tgt]):
         raise NumericError("the passage time overflows to inf")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,9 +44,16 @@ class SKDisorder:
     def coupling_matrix(self):
         """Dense symmetric matrix with zero diagonal."""
         mat = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n, k=1)
-        mat[iu] = self.couplings
+        mat[_upper_triangle(self.n)] = self.couplings
         return mat + mat.T
+
+
+@lru_cache(maxsize=MAX_SPINS)  # the last MAX_SPINS sizes
+def _upper_triangle(n):
+    """Frozen row and column indices of the i < j entries of an n x n matrix."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,9 @@ def enumerate_energies(dis):
     exactly when bit j of b is set.  The low n // 2 spins and the high spins
     are enumerated separately and joined by one matrix product for the cross
     term.  The high spins index the rows of the joined table, so its ravel
-    keeps that bit order; it is built in place, in 8 * 2^n bytes.
+    keeps that bit order; it is built in place, in 8 * 2^n bytes.  The half
+    spin tables ``_spin_table(k)``, k <= MAX_SPINS / 2, and the indices
+    ``_upper_triangle(n)`` of ``coupling_matrix`` are cached, frozen.
     """
     n = dis.n
     if n < 2:
@@ -82,10 +92,12 @@ def enumerate_energies(dis):
     return table.ravel()
 
 
+@lru_cache(maxsize=None)
 def _spin_table(k):
     """All 2^k configurations of k spins, row c having spin j = -1 on bit j of c."""
-    codes = np.arange(1 << k)[:, None]
-    return 1.0 - 2.0 * ((codes >> np.arange(k)) & 1)
+    table = 1.0 - 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
+    table.flags.writeable = False
+    return table
 
 
 def result_from_energies(energies, beta):

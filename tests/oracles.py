@@ -12,7 +12,8 @@ The second half keeps the earlier forms of the per-replicate hot paths, which
 the current ones must match bit for bit: the dense nearest-neighbor sum, the
 resampling sampler with unbounded tree queries, the two-draw Bernoulli
 coupling, the exact Bernoulli TV summed in index order, the per-edge dict
-lookup of the schedule affinities and the FPP gap summed over vertex pairs.
+lookup of the schedule affinities, the FPP gap summed over vertex pairs and
+the passage time by undirected Dijkstra on a COO box graph built per call.
 
 The last three are closed forms that no certificate path needs but the tests
 check the library against: the Hellinger affinity of one Bernoulli coordinate
@@ -33,6 +34,8 @@ from itertools import permutations
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 from scipy.special import gammaln
 
@@ -399,6 +402,30 @@ def ttq_by_vertex_pairs(grid, sched, path, m):
             e, w = float(sched.v_values[x1, y1]), float(grid.v_weights[x1, y1])
         total += e * w / (1.0 + e)
     return total
+
+
+def coo_passage_time(grid):
+    """Passage time and flat geodesic edges of an ``FppGrid`` by SciPy's
+    Dijkstra in undirected mode on a COO graph built per call.
+
+    Each edge enters once, from its lower to its higher vertex id, in the flat
+    edge layout.  Returns (passage_time, edge_list).
+    """
+    w, h = grid.width, grid.height
+    ids = np.arange(w * h).reshape(w, h)
+    rows = np.concatenate([ids[:-1, :].ravel(), ids[:, :-1].ravel()])
+    cols = np.concatenate([ids[1:, :].ravel(), ids[:, 1:].ravel()])
+    weights = np.concatenate([grid.h_weights.ravel(), grid.v_weights.ravel()])
+    graph = csr_matrix((weights, (rows, cols)), shape=(w * h, w * h))
+    src, tgt = int(ids[grid.source]), int(ids[grid.target])
+    dist, pred = dijkstra(graph, directed=False, indices=src, return_predecessors=True)
+    backward = [tgt]
+    while backward[-1] != src:
+        backward.append(int(pred[backward[-1]]))
+    path = np.array(backward[::-1])
+    lo = np.minimum(path[:-1], path[1:])
+    vertical = np.abs(path[1:] - path[:-1]) == 1
+    return float(dist[tgt]), np.where(vertical, (w - 1) * h + lo - lo // h, lo)
 
 
 #: potential and lower end of the support of each built-in density

@@ -5,8 +5,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from flucert import euclidean
+from flucert import euclidean, fpp, spin_glass
 from flucert.densities import standard_density
 from flucert.errors import (
     DegenerateRegionError,
@@ -158,23 +161,101 @@ class TestTspExact:
         assert (res.value, res.witness) == held_karp_loop(ps)
 
 
+def random_disorder(n, seed):
+    g = seed_stream(seed).standard_normal(n * (n - 1) // 2)
+    return spin_glass.SKDisorder(n, g)
+
+
+def random_box(side, seed):
+    w = seed_stream(seed).exponential(size=(2, side - 1, side))
+    return fpp.FppGrid(
+        side, side, w[0], w[1].T, (0, side // 2), (side - 1, side // 2)
+    )
+
+
+#: the instance each cached table's solver takes, by size and seed
+INSTANCES = {
+    tsp_exact: random_points,
+    matching_exact: random_points,
+    spin_glass.enumerate_energies: random_disorder,
+    fpp.passage_time: random_box,
+}
+
+
+def leaves(tables):
+    """Every array in a nest of tuples."""
+    if isinstance(tables, np.ndarray):
+        return [tables]
+    return [leaf for table in tables for leaf in leaves(table)]
+
+
 @pytest.mark.parametrize(
     "solver, layers, n, key",
     [
         (tsp_exact, _held_karp_layers, 9, 8),
         (matching_exact, _matching_layers, 10, 10),
+        (spin_glass.enumerate_energies, spin_glass._spin_table, 11, 5),
+        (spin_glass.enumerate_energies, spin_glass._spin_table, 11, 6),
+        (spin_glass.enumerate_energies, spin_glass._upper_triangle, 11, 11),
+        pytest.param(
+            fpp.passage_time,
+            lambda side: fpp._box_graph(side, side),
+            7,
+            7,
+            id="passage_time-_box_graph-7-7",
+        ),
     ],
 )
 def test_layer_tables_are_frozen_and_shared(solver, layers, n, key):
-    solver(random_points(n, 1900))
+    # the box graph's CSR arrays being read-only also checks that SciPy's
+    # csr_matrix and dijkstra accept them without writing to them
+    solver(INSTANCES[solver](n, 1900))
     tables = layers(key)
-    before = [[t.copy() for t in layer] for layer in tables]
-    solver(random_points(n, 1901))
+    before = [table.copy() for table in leaves(tables)]
+    solver(INSTANCES[solver](n, 1901))
+    solver(INSTANCES[solver](n, 1902))
     assert layers(key) is tables
-    for layer, saved in zip(tables, before):
-        for table, copy in zip(layer, saved):
-            assert not table.flags.writeable
-            np.testing.assert_array_equal(table, copy)
+    for table, copy in zip(leaves(tables), before, strict=True):
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(table, copy)
+
+
+def exactly_symmetric(ps):
+    dist = distance_matrix(ps)
+    return bool((dist == dist.T).all())
+
+
+class TestDistanceMatrix:
+    """``tsp_exact`` reads dist[j, .] for dist[., j], so the matrix must be
+    exactly symmetric: p_j - p_i is -(p_i - p_j) in floating point."""
+
+    def test_random_points(self):
+        for n in (3, 10, TSP_EXACT_MAX):
+            assert exactly_symmetric(random_points(n, 1950 + n))
+
+    def test_duplicate_points(self):
+        pts = np.repeat(seed_stream(1951).standard_normal((5, 3)), 3, axis=0)
+        ps = PointSet(3, pts)
+        assert exactly_symmetric(ps)
+        assert (np.diag(distance_matrix(ps)) == 0.0).all()
+
+    def test_coordinates_near_1e150(self):
+        pts = 1e150 * (1.0 + 1e-3 * seed_stream(1952).standard_normal((12, 2)))
+        pts[::3] *= -1.0
+        assert exactly_symmetric(PointSet(2, pts))
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: arrays(
+                float,
+                st.tuples(st.integers(0, 12), st.just(d)),
+                elements=st.floats(-1e150, 1e150),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_points(self, pts):
+        assert exactly_symmetric(PointSet(pts.shape[1], pts))
 
 
 class TestMatching:
@@ -374,6 +455,16 @@ class TestScalingCoupling:
         f = standard_density("std-gaussian")
         with pytest.raises(DomainError, match=r"^need a real degree r in \(0, inf\)"):
             scaling_coupling(random_points(8, 26), 0.5, r, "nn-sum", f)
+
+    @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact", "nn-sum"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_rejected_at_entry(self, n, kind):
+        # the empty set used to raise ZeroDivisionError from alpha / sqrt(n),
+        # and one point a range error on alpha / sqrt(n)
+        f = standard_density("std-gaussian")
+        ps = PointSet(2, np.zeros((n, 2)))
+        with pytest.raises(SizeError, match=r"^scaling_coupling needs n >= 2"):
+            scaling_coupling(ps, 0.5, 1, kind, f)
 
     def test_nan_rescaled_value_detected(self, monkeypatch):
         calls = []

@@ -21,7 +21,12 @@ from flucert.fpp import (
     ttq_lower_bound,
 )
 from flucert.rng import seed_stream
-from oracles import heap_dijkstra, schedule_rhos_by_dict, ttq_by_vertex_pairs
+from oracles import (
+    coo_passage_time,
+    heap_dijkstra,
+    schedule_rhos_by_dict,
+    ttq_by_vertex_pairs,
+)
 
 EXPO = standard_density("exponential-rate-1")
 
@@ -104,6 +109,14 @@ def assert_valid_witness(geo, grid):
     assert geo.edge_weights.sum() == pytest.approx(geo.passage_time, rel=1e-12)
 
 
+def assert_same_as_coo(grid):
+    """Passage time and geodesic edges ``==`` to the undirected COO form."""
+    geo = passage_time(grid)
+    t, edges = coo_passage_time(grid)
+    assert geo.passage_time == t
+    np.testing.assert_array_equal(geo.edge_list, edges)
+
+
 SIZES = [(2, 2), (2, 7), (5, 3), (9, 9), (16, 11), (24, 24)]
 
 
@@ -126,6 +139,38 @@ class TestPassageTime:
             networkx_passage_time(grid), rel=1e-12
         )
         assert_valid_witness(geo, grid)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_coo_oracle(self, seed):
+        width, height = SIZES[seed % len(SIZES)]
+        assert_same_as_coo(random_grid(width, height, 1100 + seed))
+
+    @pytest.mark.parametrize("width, height", SIZES + [(6, 5), (40, 40)])
+    def test_matches_coo_oracle_on_ties(self, width, height):
+        # unit weights tie many paths, so each geodesic rests on the tie rule
+        stream = seed_stream(1200, width, height)
+        for _ in range(12):
+            cells = stream.choice(width * height, size=2, replace=False)
+            source, target = (divmod(int(c), height) for c in cells)
+            assert_same_as_coo(unit_grid(width, height, source, target))
+
+    @pytest.mark.parametrize("first", range(0, 120, 30))
+    def test_matches_coo_oracle_on_the_benchmark_box(self, first):
+        # 40 x 40, exponential weights, the graded schedule at alpha = 0.9
+        side, n_h = 40, 39 * 40
+        sched = graded_schedule(unit_grid(side, side, (0, 20), (39, 20)), 0.9, side)
+        for seed in range(first, first + 30):
+            w = sample_iid(EXPO, 2 * n_h, seed_stream(seed, 0, 1))
+            grid = FppGrid(
+                side,
+                side,
+                w[:n_h].reshape(side - 1, side),
+                w[n_h:].reshape(side, side - 1),
+                (0, 20),
+                (39, 20),
+            )
+            assert_same_as_coo(grid)
+            assert_same_as_coo(perturb(grid, sched))
 
     def test_ties_give_a_geodesic(self):
         grid = unit_grid(6, 5, (0, 0), (5, 4))
