@@ -77,9 +77,10 @@ class FunctionalValue:
     witness: object  # tour order, matching pairs, or None
 
 
-def distance_matrix(ps):
-    diff = ps.points[:, None, :] - ps.points[None, :, :]
-    return np.sqrt(np.square(diff).sum(axis=2))
+def _distances(points):
+    """Distance matrices of a (..., n, d) stack of point rows, one per (n, d) slice."""
+    diff = points[..., :, None, :] - points[..., None, :, :]
+    return np.sqrt(np.square(diff).sum(axis=-1))
 
 
 def _check_cover(indices, n, witness):
@@ -92,7 +93,7 @@ def _check_cover(indices, n, witness):
 
 
 def _closed_length(pts):
-    seg = pts - np.roll(pts, -1, axis=0)
+    seg = pts - np.concatenate((pts[1:], pts[:1]))  # each point's successor
     return float(np.sqrt(np.square(seg).sum(axis=1)).sum())
 
 
@@ -146,74 +147,94 @@ def _held_karp_layers(m):
     """Index tables of the Held-Karp layers over m nodes, one per popcount.
 
     Layer s (s = 2..m) lists every pair (mask, j) with |mask| = s and j in
-    mask as four frozen index arrays: the flat slot ``mask * m + j`` of the
-    (2^m, m) table, the predecessor ``mask ^ (1 << j)``, the end node j and
-    the flat start ``pair * m`` of its candidate row.  They depend on m alone;
-    the size checks in ``tsp_exact`` bound the cache to TSP_EXACT_MAX - 2 entries.
+    mask as three frozen index arrays: the flat slot ``j * 2^m + mask`` of the
+    node-major (m, 2^m) table, the predecessor ``mask ^ (1 << j)`` and the end
+    node j.  They depend on m alone, not on how many instances are stacked;
+    the size checks in ``_held_karp`` bound the cache to TSP_EXACT_MAX - 2
+    entries.
     """
     masks, popcount, _ = _subsets(m)
     layers = []
     for size in range(2, m + 1):  # singletons are seeded by the caller
         layer = masks[popcount == size]
         row, end = np.nonzero((layer[:, None] >> np.arange(m)) & 1)
+        end = np.ascontiguousarray(end)  # nonzero gives strided views of one array
         mask = layer[row]
-        rows = np.arange(row.size) * m
-        layers.append(_frozen(mask * m + end, mask ^ (1 << end), end, rows))
+        layers.append(_frozen((end << m) + mask, mask ^ (1 << end), end))
     return tuple(layers)
+
+
+def _held_karp(point_sets):
+    """Optimal closed tours of equal-size point sets in one Held-Karp pass.
+
+    dp[k, mask, b] is the shortest path of instance b from node 0 through the
+    nodes of mask (nodes 1..n-1 as bits 0..n-2) that ends at node k.  One
+    vectorized step per popcount layer relaxes every (mask, j) pair of the
+    layer for all instances at once: the candidates dp[., mask minus j, b] +
+    dist[., j, b] are gathered node-major and only their minimum is kept.  The
+    tour is then read back one node at a time from the full mask: each step
+    recomputes, with the same additions, the candidate column of its (mask, j)
+    and takes its ``ndarray.argmin``, the first minimum, so ties go to the
+    smallest predecessor node.  One FunctionalValue per point set, in order.
+    """
+    n = point_sets[0].n
+    if n < 3 or n > TSP_EXACT_MAX:
+        raise SizeError(f"tsp_exact supports 3 <= n <= {TSP_EXACT_MAX}, got {n}")
+    points = np.stack([ps.points for ps in point_sets])
+    # (n, n, B): the instance innermost, so the layer tables serve any B
+    dist = _distances(points).transpose(1, 2, 0)
+    m = n - 1  # nodes 1..n-1, anchored at node 0
+    sub = np.ascontiguousarray(dist[1:, 1:])
+    first_leg = dist[0, 1:]
+    full = 1 << m
+    dp = np.empty((m, full, len(point_sets)))
+    dp.fill(np.inf)
+    nodes = np.arange(m)
+    dp[nodes, 1 << nodes] = first_leg
+    flat_dp = dp.reshape(m * full, -1)
+    for slot, prev, end in _held_karp_layers(m):
+        cand = dp.take(prev, axis=1)
+        cand += sub.take(end, axis=1)
+        flat_dp[slot] = np.minimum.reduce(cand, axis=0)
+    closing = dp[:, full - 1] + first_leg
+    results = []
+    for b, ps in enumerate(point_sets):
+        node_dp, node_sub = dp[..., b], sub[..., b]
+        j = int(closing[:, b].argmin())
+        order = [j + 1]
+        mask = full - 1
+        while mask != 1 << j:  # a singleton is the first leg
+            mask ^= 1 << j
+            j = int((node_dp[:, mask] + node_sub[:, j]).argmin())
+            order.append(j + 1)
+        order.append(0)
+        order.reverse()
+        # the witness is a tour by construction, so its length skips the check
+        results.append(FunctionalValue(_closed_length(ps.points[order]), tuple(order)))
+    return results
 
 
 def tsp_exact(ps):
     """Optimal closed tour by the Held-Karp subset dynamic program.
 
-    Tours start at node 0.  One vectorized step per popcount layer relaxes
-    every (subset, end node j) pair of the layer at once: the candidates are
-    dp[subset minus j] + dist[j, .], which ``distance_matrix`` makes equal to
-    dist[., j], and ``ndarray.argmin`` keeps the first minimum of each row, so
-    ties go to the smallest predecessor node.  The index tables of each layer
+    Tours start at node 0.  This is the one-instance case of ``_held_karp``,
+    which ``scaling_coupling`` also runs on a point set and its rescaled copy
+    in one pass.  Each layer keeps only the minimum of its candidates
+    dp[subset minus j] + dist[., j]; the tour is read back from the full
+    subset one node at a time, taking the first minimum of the same candidate
+    column with ``ndarray.argmin``, so ties go to the smallest predecessor
+    node, as in a loop over the subsets.  The index tables of each layer
     depend only on n; they are built on the first call for that n and cached,
-    frozen, for later calls (about 3.5 MiB at n = TSP_EXACT_MAX = 15).
+    frozen, for later calls (about 2.6 MiB at n = TSP_EXACT_MAX = 15).  The
+    table of partial lengths takes 8 (n - 1) 2^(n-1) bytes per instance, 1.75
+    MiB at n = 15.
     """
-    n = ps.n
-    if n < 3 or n > TSP_EXACT_MAX:
-        raise SizeError(f"tsp_exact supports 3 <= n <= {TSP_EXACT_MAX}, got {n}")
-    dist = distance_matrix(ps)
-    m = n - 1  # nodes 1..n-1, anchored at node 0
-    sub = dist[1:, 1:]
-    first_leg = dist[0, 1:]
-    full = 1 << m
-    dp = np.empty((full, m))
-    dp.fill(np.inf)
-    parent = np.empty((full, m), dtype=np.int16)
-    parent.fill(-1)
-    nodes = np.arange(m)
-    dp[1 << nodes, nodes] = first_leg
-    flat_dp = dp.reshape(-1)
-    flat_parent = parent.reshape(-1)
-    for slot, prev, end, rows in _held_karp_layers(m):
-        cand = dp.take(prev, axis=0)  # a row gather, faster than dp[prev]
-        cand += sub.take(end, axis=0)
-        k = cand.argmin(1)
-        flat_dp[slot] = cand.ravel()[k + rows]
-        flat_parent[slot] = k
-    closing = dp[full - 1] + first_leg
-    last = int(np.argmin(closing))
-    order = [last + 1]
-    mask = full - 1
-    j = last
-    while parent[mask, j] >= 0:
-        k = int(parent[mask, j])
-        mask ^= 1 << j
-        order.append(k + 1)
-        j = k
-    order.append(0)
-    order.reverse()
-    # the witness is a tour by construction, so its length skips the check
-    return FunctionalValue(_closed_length(ps.points[order]), tuple(order))
+    return _held_karp((ps,))[0]
 
 
-@lru_cache(maxsize=None)
-def _matching_layers(n):
-    """Index tables of the matching DP over n points, one per popcount 2L.
+@lru_cache(maxsize=MATCHING_MAX)  # MATCHING_MAX // 2 sizes, one or two instances
+def _matching_layers(n, count):
+    """Index tables of the matching DP over ``count`` stacked n-point instances.
 
     The DP always pairs the lowest unmatched point, so the only subsets it
     reaches are those whose run of trailing ones t is at least half their
@@ -221,11 +242,12 @@ def _matching_layers(n):
     in it.  Layer L lists the reached subsets of size 2L and, per subset, a
     row of candidate (predecessor subset, flat index i * n + j of the pair
     distance) sorted by predecessor.  Candidates whose predecessor is never
-    reached are left out; rows are padded to the layer's widest with the
-    sentinel predecessor 2^n, whose dp slot holds +inf.  The raveled
+    reached are left out; rows are padded to the layer's widest with a
+    sentinel predecessor.  Instance b's rows follow instance b - 1's, with its
+    subsets offset by b * 2^n and its pair indices by b * n * n; every
+    sentinel is count * 2^n, one shared dp slot that holds +inf.  The raveled
     predecessors and the flat start ``row * width`` of each row follow.  The
-    arrays are frozen; the size checks in ``matching_exact`` bound the cache
-    to MATCHING_MAX // 2 entries.
+    arrays are frozen.
     """
     full = 1 << n
     masks, popcount, trailing = _subsets(n)
@@ -233,6 +255,7 @@ def _matching_layers(n):
     # increasing predecessor subset
     second, first = (index[::-1] for index in np.tril_indices(n, -1))
     bits = (1 << first) | (1 << second)
+    offset = np.arange(count)[:, None, None]  # instance, row, candidate
     layers = []
     for half in range(1, n // 2 + 1):
         reached = (popcount == 2 * half) & (trailing >= half)
@@ -244,56 +267,83 @@ def _matching_layers(n):
         )
         row, col = np.nonzero(valid)
         at = np.cumsum(valid, axis=1)[row, col] - 1  # keeps the pair order
-        shape = (new.size, int(at.max()) + 1)
-        pred = np.full(shape, full)
+        width = int(at.max()) + 1
+        pred = np.full((new.size, width), full)
         pred[row, at] = new[row] ^ bits[col]
-        pair = np.zeros(shape, dtype=int)
+        pair = np.zeros((new.size, width), dtype=int)
         pair[row, at] = first[col] * n + second[col]
-        rows = np.arange(shape[0]) * shape[1]
+        pred = np.where(pred == full, count * full, pred + offset * full)
+        pred = pred.reshape(-1, width)
+        pair = (pair + offset * (n * n)).reshape(-1, width)
+        new = (new + offset[:, 0] * full).reshape(-1)
+        rows = np.arange(pred.shape[0]) * width
         layers.append(_frozen(new, pred, pair, pred.ravel(), rows))
     return tuple(layers)
 
 
-def matching_exact(ps):
-    """Minimum-weight perfect matching by bitmask dynamic programming.
+def _bitmask_matching(point_sets):
+    """Minimum-weight perfect matchings of equal-size point sets in one DP pass.
 
-    Every step pairs the lowest unmatched point.  One vectorized step per
-    popcount layer computes dp[subset] as the minimum over its candidate last
-    pairs of dp[predecessor] + dist[i, j], with the candidates ordered by
-    predecessor subset so that ``ndarray.argmin`` keeps the smallest
-    predecessor among equal costs.  The index tables depend only on n; they
-    are built on the first call for that n and cached, frozen, for later
-    calls (about 0.3 MiB at n = MATCHING_MAX = 16).  The value is recomputed
-    from the witness pairs, a perfect matching by construction, as
-    ``matching_length`` would.
+    The instances' dp tables are stacked end to end, instance b's subsets at
+    b * 2^n, with one shared +inf sentinel slot after them, so that one
+    vectorized step per popcount layer serves them all.  Each step computes
+    dp[subset] as the minimum over its candidate last pairs of
+    dp[predecessor] + dist[i, j], with the candidates ordered by predecessor
+    subset so that ``ndarray.argmin`` keeps the smallest predecessor among
+    equal costs, and records that predecessor; each matching is read back
+    from its instance's full subset.  The value is recomputed from the
+    witness pairs, a perfect matching by construction, as ``matching_length``
+    would.  One FunctionalValue per point set, in order.
     """
-    n = ps.n
+    n = point_sets[0].n
     if n % 2 != 0 or n < 2 or n > MATCHING_MAX:
         raise SizeError(
             f"matching_exact supports even 2 <= n <= {MATCHING_MAX}, got {n}"
         )
-    pair_dist = distance_matrix(ps).reshape(-1)
+    count = len(point_sets)
+    pair_dist = _distances(np.stack([ps.points for ps in point_sets])).reshape(-1)
     full = 1 << n
-    dp = np.empty(full + 1)
-    dp.fill(np.inf)  # slot 2^n is the padding sentinel
-    dp[0] = 0.0
-    prev = np.zeros(full, dtype=np.int64)
-    for new, pred, pair, flat_pred, rows in _matching_layers(n):
+    dp = np.empty(count * full + 1)
+    dp.fill(np.inf)  # the last slot is the padding sentinel
+    dp[: count * full : full] = 0.0  # each instance's empty subset
+    prev = np.zeros(count * full, dtype=np.int64)
+    for new, pred, pair, flat_pred, rows in _matching_layers(n, count):
         cand = dp[pred]
         cand += pair_dist[pair]
         at = cand.argmin(1) + rows
         dp[new] = cand.ravel()[at]
         prev[new] = flat_pred[at]
-    pairs = []
-    mask = full - 1
-    while mask:
-        before = int(prev[mask])
-        pair = mask ^ before
-        low = pair & -pair
-        pairs.append((low.bit_length() - 1, (pair ^ low).bit_length() - 1))
-        mask = before
-    pairs.reverse()
-    return FunctionalValue(_pairs_length(ps, pairs), tuple(pairs))
+    results = []
+    for b, ps in enumerate(point_sets):
+        pairs = []
+        empty = b * full
+        mask = empty + full - 1
+        while mask != empty:
+            before = int(prev[mask])
+            pair = mask ^ before  # the instance offsets cancel
+            low = pair & -pair
+            pairs.append((low.bit_length() - 1, (pair ^ low).bit_length() - 1))
+            mask = before
+        pairs.reverse()
+        results.append(FunctionalValue(_pairs_length(ps, pairs), tuple(pairs)))
+    return results
+
+
+def matching_exact(ps):
+    """Minimum-weight perfect matching by bitmask dynamic programming.
+
+    Every step pairs the lowest unmatched point.  This is the one-instance
+    case of ``_bitmask_matching``, which ``scaling_coupling`` also runs on a
+    point set and its rescaled copy in one pass.  One vectorized step per
+    popcount layer computes dp[subset] as the minimum over its candidate last
+    pairs of dp[predecessor] + dist[i, j]; ``ndarray.argmin`` keeps the
+    smallest predecessor among equal costs, and the matching is read back
+    through the recorded predecessors.  The index tables depend only on n and
+    the instance count; they are built on the first call for that pair and
+    cached, frozen, for later calls (about 0.3 MiB at n = MATCHING_MAX = 16
+    for one instance, about twice that for two).
+    """
+    return _bitmask_matching((ps,))[0]
 
 
 def nn_sum(ps):
@@ -302,7 +352,7 @@ def nn_sum(ps):
     A k-d tree query for the two nearest points of each point returns the
     point itself at distance 0 and then its nearest other point (at distance
     0 too for a duplicate).  The tree squares and sums the coordinate
-    differences as ``distance_matrix`` does, so the sum is the same as the
+    differences as ``_distances`` does, so the sum is the same as the
     minimum over each row of the dense matrix, in O(n log n) time and O(n)
     memory.
     """
@@ -329,28 +379,48 @@ def scaling_coupling(ps, alpha, r, kind, density):
     Returns (base value, scaled value, tv_bound).  The scaled value is
     computed both from the homogeneity identity value / (1+eps)^r and by
     re-evaluating the functional on the scaled points; disagreement beyond
-    1e-9 relative means the functional is not homogeneous of degree r.
+    1e-9 relative means the functional is not homogeneous of degree r.  The
+    exact solvers evaluate both point sets in one stacked pass
+    (``_held_karp``, ``_bitmask_matching``), each value and witness the same
+    as ``tsp_exact`` or ``matching_exact`` gives on that set alone; "nn-sum"
+    is evaluated once per set.  Each value is the length of its own witness on
+    its own point set, so the check still compares two separate evaluations.
+    The TV bound depends only on (eps, rho, number of coordinates), so it is
+    built once per such triple and kept in a 64-entry cache; the affinity rho
+    is looked up on every call.
     """
     n = ps.n
     if n < 2:
         raise SizeError(f"scaling_coupling needs n >= 2 points, got {n}")
     r = real(r, "degree r", 0)
     eps = real(real(alpha, "alpha") / math.sqrt(n), "alpha / sqrt(n)", 0, 0.5, "[)")
-    base = evaluate_functional(ps, kind)
+    shrunk = ps.scaled(1.0 / (1.0 + eps))
+    if kind == "tsp-exact":
+        base, rescaled = _held_karp((ps, shrunk))
+    elif kind == "matching-exact":
+        base, rescaled = _bitmask_matching((ps, shrunk))
+    else:
+        base = evaluate_functional(ps, kind)
+        rescaled = evaluate_functional(shrunk, kind)
     identity_value = base.value / (1.0 + eps) ** r
-    rescaled = evaluate_functional(ps.scaled(1.0 / (1.0 + eps)), kind)
     tol = 1e-9 * max(1.0, abs(identity_value))
     if not abs(rescaled.value - identity_value) <= tol:  # NaN fails it too
         raise InternalConsistencyError(
             f"{kind} is not homogeneous of degree {r}: identity gives "
             f"{identity_value!r}, re-evaluation gives {rescaled.value!r}"
         )
-    coords = n * ps.dim
     rho = scaled_affinity(density, eps).rho
-    plan = PerturbationPlan(
-        "scale", np.full(coords, eps), np.full(coords, rho)
-    )
-    return base, rescaled, product_tv_bound(plan)
+    return base, rescaled, _scale_tv(eps, rho, n * ps.dim)
+
+
+@lru_cache(maxsize=64)
+def _scale_tv(eps, rho, coords):
+    """TV bound of shrinking ``coords`` coordinates by 1/(1 + eps) at affinity rho.
+
+    It is the same for every replicate of a model, so it is built once.
+    """
+    plan = PerturbationPlan("scale", np.full(coords, eps), np.full(coords, rho))
+    return product_tv_bound(plan)
 
 
 @dataclass(frozen=True)

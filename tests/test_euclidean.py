@@ -23,7 +23,6 @@ from flucert.euclidean import (
     TSP_EXACT_MAX,
     FunctionalValue,
     PointSet,
-    distance_matrix,
     matching_exact,
     matching_length,
     nn_sum,
@@ -33,6 +32,9 @@ from flucert.euclidean import (
     scaling_coupling,
     tour_length,
     tsp_exact,
+    _bitmask_matching,
+    _distances,
+    _held_karp,
     _held_karp_layers,
     _matching_layers,
 )
@@ -45,6 +47,11 @@ from oracles import (
 )
 
 UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+GAUSS = standard_density("std-gaussian")
+
+
+def distance_matrix(ps):
+    return _distances(ps.points)
 
 
 def random_points(n, seed, half_line=False):
@@ -173,10 +180,20 @@ def random_box(side, seed):
     )
 
 
+def tsp_pair(ps):
+    return scaling_coupling(ps, 0.5, 1, "tsp-exact", GAUSS)
+
+
+def matching_pair(ps):
+    return scaling_coupling(ps, 0.5, 1, "matching-exact", GAUSS)
+
+
 #: the instance each cached table's solver takes, by size and seed
 INSTANCES = {
     tsp_exact: random_points,
+    tsp_pair: random_points,
     matching_exact: random_points,
+    matching_pair: random_points,
     spin_glass.enumerate_energies: random_disorder,
     fpp.passage_time: random_box,
 }
@@ -193,7 +210,22 @@ def leaves(tables):
     "solver, layers, n, key",
     [
         (tsp_exact, _held_karp_layers, 9, 8),
-        (matching_exact, _matching_layers, 10, 10),
+        # the stacked pair reads the same tables as one instance
+        (tsp_pair, _held_karp_layers, 9, 8),
+        pytest.param(
+            matching_exact,
+            lambda n: _matching_layers(n, 1),
+            10,
+            10,
+            id="matching_exact-_matching_layers-10-10",
+        ),
+        pytest.param(
+            matching_pair,
+            lambda n: _matching_layers(n, 2),
+            10,
+            10,
+            id="matching_pair-_matching_layers-10-10x2",
+        ),
         (spin_glass.enumerate_energies, spin_glass._spin_table, 11, 5),
         (spin_glass.enumerate_energies, spin_glass._spin_table, 11, 6),
         (spin_glass.enumerate_energies, spin_glass._upper_triangle, 11, 11),
@@ -226,8 +258,8 @@ def exactly_symmetric(ps):
 
 
 class TestDistanceMatrix:
-    """``tsp_exact`` reads dist[j, .] for dist[., j], so the matrix must be
-    exactly symmetric: p_j - p_i is -(p_i - p_j) in floating point."""
+    """The matrix is exactly symmetric: p_j - p_i is -(p_i - p_j) in floating
+    point, so a solver may read dist[j, .] for dist[., j]."""
 
     def test_random_points(self):
         for n in (3, 10, TSP_EXACT_MAX):
@@ -477,6 +509,73 @@ class TestScalingCoupling:
         f = standard_density("std-gaussian")
         with pytest.raises(InternalConsistencyError):
             scaling_coupling(random_points(8, 27), 0.5, 1, "nn-sum", f)
+
+    @pytest.mark.parametrize("kernel", ["_held_karp", "_bitmask_matching"])
+    @pytest.mark.parametrize("corrupt", [math.nan, 1e-7], ids=["nan", "rel1e-7"])
+    def test_corrupt_rescaled_stacked_result_detected(self, monkeypatch, kernel, corrupt):
+        # the homogeneity check must stay independent of the stacked pass that
+        # now solves both instances
+        solve = getattr(euclidean, kernel)
+
+        def corrupt_rescaled(point_sets):
+            base, rescaled = solve(point_sets)
+            value = math.nan if math.isnan(corrupt) else rescaled.value * (1 + corrupt)
+            return base, FunctionalValue(value, rescaled.witness)
+
+        monkeypatch.setattr(euclidean, kernel, corrupt_rescaled)
+        kind = STACKED_KINDS[kernel]
+        with pytest.raises(InternalConsistencyError, match=f"^{kind} is not homogeneous"):
+            scaling_coupling(random_points(8, 28), 0.5, 1, kind, GAUSS)
+
+
+STACKED_KINDS = {"_held_karp": "tsp-exact", "_bitmask_matching": "matching-exact"}
+LOOPS = {"tsp-exact": held_karp_loop, "matching-exact": matching_loop}
+PAIR_SIZES = [("tsp-exact", n) for n in range(3, TSP_EXACT_MAX + 1)] + [
+    ("matching-exact", n) for n in range(2, MATCHING_MAX + 1, 2)
+]
+
+
+def lattice(rows, cols):
+    return PointSet(2, np.indices((rows, cols)).reshape(2, -1).T.astype(float))
+
+
+class TestStackedPair:
+    """``scaling_coupling`` solves a point set and its rescaled copy in one
+    stacked pass; each must equal the loop oracle on that set alone."""
+
+    def check_pair(self, kind, ps, alpha=0.5):
+        base, rescaled, _ = scaling_coupling(ps, alpha, 1, kind, GAUSS)
+        shrunk = ps.scaled(1.0 / (1.0 + alpha / math.sqrt(ps.n)))
+        assert (base.value, base.witness) == LOOPS[kind](ps)
+        assert (rescaled.value, rescaled.witness) == LOOPS[kind](shrunk)
+
+    @pytest.mark.parametrize("kind, n", PAIR_SIZES)
+    def test_pair_matches_loops(self, kind, n):
+        self.check_pair(kind, random_points(n, 2000 + n))
+
+    @pytest.mark.parametrize(
+        "kind, rows, cols",
+        [
+            # the lattices of the tie tests of each solver
+            ("tsp-exact", 2, 3),
+            ("tsp-exact", 3, 4),
+            ("matching-exact", 2, 4),
+            ("matching-exact", 2, 6),
+        ],
+    )
+    def test_pair_matches_loops_on_ties(self, kind, rows, cols):
+        self.check_pair(kind, lattice(rows, cols))
+
+    @pytest.mark.parametrize(
+        "solve, n",
+        [(_held_karp, 3), (_held_karp, 9), (_bitmask_matching, 2), (_bitmask_matching, 10)],
+    )
+    def test_one_instance_is_its_entry_of_a_stack(self, solve, n):
+        # unrelated instances, in both orders: nothing leaks between them
+        first, second = random_points(n, 2100 + n), random_points(n, 2200 + n)
+        alone = [solve((first,))[0], solve((second,))[0]]
+        assert solve((first, second)) == alone
+        assert solve((second, first)) == alone[::-1]
 
 
 class TestRheeCoupling:
