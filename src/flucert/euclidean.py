@@ -454,17 +454,100 @@ def rhee_mixture_affinity(vol, theta):
     return min(rho, 1.0)
 
 
+class _RegionGrid:
+    """Cell list over m centers in [0, 1)^2 that answers "within ``radius``?".
+
+    The square is cut into g x g cells of side 1/g >= cutoff = radius *
+    (1 + 1e-9), with g at most 4 sqrt(m), and a point in [0, 1)^2 lies in
+    cell (floor(x g), floor(y g)).  For each cell the table lists the
+    centers of its 3 x 3 block of cells, one empty border cell padding the
+    square, so the lists hold 9m entries and the count and start tables
+    (g + 2)^2 <= (4 sqrt(m) + 2)^2 each: O(m) memory whatever the radius.
+    """
+
+    __slots__ = ("radius", "_g", "_w", "_count", "_first", "_block")
+
+    def __init__(self, centers, radius):
+        self.radius = radius
+        cutoff = radius * (1.0 + 1e-9)
+        cap = int(4.0 * math.sqrt(len(centers)))
+        # cutoff < 1 (the radius is at most 8^(-1/2)), so g >= 1; a cutoff
+        # below 1/cap, zero included, takes the cap
+        self._g = cap if cutoff * cap < 1.0 else int(1.0 / cutoff)
+        w = self._w = self._g + 2
+        # a center in cell c belongs to the blocks of the cells c + (-1..1)^2,
+        # keyed by their padded index c + (w + 1) + (-1..1) w + (-1..1)
+        steps = np.array([0, 1, 2, w, w + 1, w + 2, 2 * w, 2 * w + 1, 2 * w + 2])
+        keys = (self._cells(centers)[:, None] + steps).ravel()
+        self._block = centers[np.argsort(keys, kind="stable") // 9]
+        count = np.bincount(keys, minlength=w * w)
+        first = np.cumsum(count) - count
+        # indexed by the unpadded key of a point's own cell
+        self._count, self._first = count[w + 1 :], first[w + 1 :]
+
+    def _cells(self, points):
+        cell = (points * self._g).astype(np.intp)  # floor: the points are >= 0
+        return cell[:, 0] * self._w + cell[:, 1]
+
+    def distances(self, points):
+        """Distances from each point to every center of its 3 x 3 block.
+
+        Returns (d, owner): one entry per (point, block center) pair, grouped
+        by point, with d = ``sqrt(dx*dx + dy*dy)`` and owner the point's row.
+        """
+        cell = self._cells(points)
+        count = self._count[cell]
+        bounds = np.zeros(len(points) + 1, dtype=np.intp)
+        np.cumsum(count, out=bounds[1:])
+        total = bounds[-1]
+        # pair j belongs to the number of points i >= 1 with bounds[i] <= j
+        owner = np.cumsum(np.bincount(bounds[1:-1], minlength=total)[:total])
+        at = (self._first[cell] - bounds[:-1]).take(owner)
+        at += np.arange(total)
+        diff = points.take(owner, axis=0)
+        diff -= self._block.take(at, axis=0)
+        diff *= diff
+        d = diff[:, 0] + diff[:, 1]
+        return np.sqrt(d, out=d), owner
+
+    def contains(self, points):
+        """Whether each point lies within ``radius`` of some center."""
+        d, owner = self.distances(points)
+        inside = np.zeros(len(points), dtype=bool)
+        inside[owner.compress(d <= self.radius)] = True
+        return inside
+
+
 def rhee_coupling_sample(n, alpha, beta, rng, probes=100000):
     """One draw of the resampling coupling on the unit square (d = 2).
 
     The first m = n//2 points are shared.  D is the set of square points
-    within alpha * n^(-1/2) of those m points; each later point is replaced,
-    with probability beta * n^(-1/2), by a uniform draw from D obtained by
-    rejection sampling.  The tree queries stop searching just beyond the
-    radius (a point farther out comes back at distance inf); the tree
-    compares squared distances, so the cut-off carries a relative margin of
-    1e-9 and the ``<= radius`` test on the returned distance alone decides
-    membership in D.
+    within radius = alpha * n^(-1/2) of those m points; each later point is
+    replaced, with probability beta * n^(-1/2), by a uniform draw from D
+    obtained by rejection sampling in batches of 256 candidates.
+
+    Membership in D is read from a cell list over the m shared points
+    (``_RegionGrid``), built once per draw and used for the probe volume
+    estimate and for every batch.  A point is in D when the distance
+    ``sqrt(dx*dx + dy*dy)`` to some center of its 3 x 3 block of cells is
+    ``<= radius``.  The block holds every center that can pass.  The cell
+    side 1/g is at least cutoff = radius * (1 + 1e-9), up to one rounding of
+    ``1/cutoff``, so a point and a center that pass lie less than
+    (1 - 1e-9 + a few ulps) cells apart on each axis.  ``floor(x * g)`` sees
+    each coordinate through one rounding of x * g, off by at most g ulps of
+    1, which stays far inside the 1e-9 margin for any g below 10^6; so the
+    two cells are at most one apart.  When the cap g <= 4 sqrt(m) binds, the
+    cells are wider still.  The tables take O(m) memory however small the
+    radius, so a tiny region is rejected without building a table of
+    1/radius^2 cells.  Uniform centers put about 9m/g^2 of them in a block
+    (near 4.5 alpha^2 for a large g, 9/16 under the cap, never more than m),
+    so a batch of k points costs O(k) expected time and memory.
+
+    The draws are those of the k-d tree queries that the cell list replaced.
+    Each distance is the floating-point expression the tree evaluates, the
+    nearest center of a point in D always lies in its block, and the stream
+    is read in the same order and amounts.  So the booleans, the volume
+    estimate, each accepted candidate and the words consumed are unchanged.
     """
     n = whole(n, "n", 8)
     probes = whole(probes, "probes")
@@ -472,14 +555,11 @@ def rhee_coupling_sample(n, alpha, beta, rng, probes=100000):
     theta = real(real(beta, "beta") / math.sqrt(n), "beta / sqrt(n)", 0, 1, "[)")
     m = n // 2
     radius = alpha * n ** (-1.0 / 2.0)  # alpha * n^(-1/d) with d = 2
-    cutoff = radius * (1.0 + 1e-9)
 
     x = uniform_open(rng, (n, 2))
-    tree = cKDTree(x[:m])
+    region = _RegionGrid(x[:m], radius)
 
-    probe_pts = uniform_open(rng, (probes, 2))
-    hit = tree.query(probe_pts, k=1, distance_upper_bound=cutoff)[0] <= radius
-    vol_hat = float(hit.mean())
+    vol_hat = float(region.contains(uniform_open(rng, (probes, 2))).mean())
     vol_sigma = math.sqrt(max(vol_hat * (1.0 - vol_hat), 1e-12) / probes)
     if vol_hat <= 0.0:
         raise DegenerateRegionError(
@@ -496,7 +576,7 @@ def rhee_coupling_sample(n, alpha, beta, rng, probes=100000):
         y = None
         while y is None:
             cand = uniform_open(rng, (batch, 2))
-            ok = tree.query(cand, k=1, distance_upper_bound=cutoff)[0] <= radius
+            ok = region.contains(cand)
             attempts += batch
             if ok.any():
                 y = cand[int(np.argmax(ok))]

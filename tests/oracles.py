@@ -10,10 +10,11 @@ take the same inputs as the ``flucert`` solvers and return plain values.
 
 The second half keeps the earlier forms of the per-replicate hot paths, which
 the current ones must match bit for bit: the dense nearest-neighbor sum, the
-resampling sampler with unbounded tree queries, the two-draw Bernoulli
-coupling, the exact Bernoulli TV summed in index order, the per-edge dict
-lookup of the schedule affinities, the FPP gap summed over vertex pairs and
-the passage time by undirected Dijkstra on a COO box graph built per call.
+resampling sampler with unbounded tree queries, its region membership by
+bounded tree queries, the two-draw Bernoulli coupling, the exact Bernoulli TV
+summed in index order, the per-edge dict lookup of the schedule affinities,
+the FPP gap summed over vertex pairs and the passage time by undirected
+Dijkstra on a COO box graph built per call.
 
 The last three are closed forms that no certificate path needs but the tests
 check the library against: the Hellinger affinity of one Bernoulli coordinate
@@ -322,6 +323,20 @@ def dense_nn_sum(ps):
     dist = np.sqrt(np.square(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
     return float(dist.min(axis=1).sum())
+
+
+def kdtree_region_hits(centers, points, radius):
+    """Membership in the radius-``radius`` region by bounded k-d tree queries.
+
+    The query ``rhee_coupling_sample`` ran before its cell list: the search
+    stops at cutoff = radius * (1 + 1e-9), beyond which a point comes back at
+    distance inf; the tree compares squared distances, so the margin keeps
+    every point at distance <= radius in reach.  Returns (hits, distance to
+    the nearest center, inf where none is within the cutoff).
+    """
+    cutoff = radius * (1.0 + 1e-9)
+    dist = cKDTree(centers).query(points, k=1, distance_upper_bound=cutoff)[0]
+    return dist <= radius, dist
 
 
 def rhee_sample_unbounded(n, alpha, beta, rng, probes):

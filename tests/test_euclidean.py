@@ -1,6 +1,7 @@
 """Tests for the Euclidean functionals and their couplings."""
 
 import math
+import time
 from itertools import permutations
 
 import numpy as np
@@ -37,11 +38,13 @@ from flucert.euclidean import (
     _held_karp,
     _held_karp_layers,
     _matching_layers,
+    _RegionGrid,
 )
-from flucert.rng import seed_stream
+from flucert.rng import _TOP as TOP, seed_stream, uniform_open
 from oracles import (
     dense_nn_sum,
     held_karp_loop,
+    kdtree_region_hits,
     matching_loop,
     rhee_sample_unbounded,
 )
@@ -642,18 +645,37 @@ class TestRheeCoupling:
         sigma = math.sqrt(draws * theta * (1 - theta))
         assert abs(total - draws * theta) <= 4 * sigma
 
-    @pytest.mark.parametrize("n, beta", [(8, 2.0), (100, 5.0), (400, 10.0)])
-    @pytest.mark.parametrize("seed", range(7))
-    def test_matches_unbounded_oracle(self, n, beta, seed):
+    @staticmethod
+    def assert_matches_unbounded_oracle(n, beta, seed, probes):
         stream = seed_stream(seed, n, 1)
-        x, xp, rc = rhee_coupling_sample(n, 0.5, beta, stream, probes=3000)
+        x, xp, rc = rhee_coupling_sample(n, 0.5, beta, stream, probes=probes)
         oracle = seed_stream(seed, n, 1)
-        ox, oxp, oidx, ovol = rhee_sample_unbounded(n, 0.5, beta, oracle, 3000)
+        ox, oxp, oidx, ovol = rhee_sample_unbounded(n, 0.5, beta, oracle, probes)
         np.testing.assert_array_equal(x.points, ox)
         np.testing.assert_array_equal(xp.points, oxp)
         assert rc.resample_indices == oidx
         assert rc.vol_D_estimate == ovol
         assert stream.random() == oracle.random()  # same words consumed
+
+    @pytest.mark.parametrize("n, beta", [(8, 2.0), (100, 5.0), (400, 10.0)])
+    @pytest.mark.parametrize("seed", range(7))
+    def test_matches_unbounded_oracle(self, n, beta, seed):
+        self.assert_matches_unbounded_oracle(n, beta, seed, 3000)
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_unbounded_oracle_at_benchmark_size(self, n, seed):
+        # the scaling-sweep draw: alpha = 0.5, beta = 1 and 20,000 probes
+        self.assert_matches_unbounded_oracle(n, 1.0, seed, 20000)
+
+    @pytest.mark.parametrize("alpha", [1e-7, 5e-324])
+    def test_tiny_region_rejected_quickly(self, alpha):
+        # a cell list of side 1/radius would need about 8e14 cells at 1e-7;
+        # at 5e-324 the radius underflows to 0
+        start = time.perf_counter()
+        with pytest.raises(DegenerateRegionError, match="no Monte-Carlo probe"):
+            rhee_coupling_sample(8, alpha, 1.0, seed_stream(1), probes=1000)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("probes", [0, -5, 2.5, 1e4, True, "100"])
     def test_probes_must_be_a_positive_integer(self, probes):
@@ -674,3 +696,198 @@ class TestRheeCoupling:
         monkeypatch.setattr(euclidean, "MAX_REJECTION", 1)
         with pytest.raises(DegenerateRegionError, match="rejection sampling"):
             rhee_coupling_sample(12, 0.01, 3.0, seed_stream(1))
+
+
+
+def check_region(centers, points, radius):
+    """The cell list against bounded k-d tree queries, bit for bit.
+
+    The booleans must agree, and for every point in the region the smallest
+    distance in its 3 x 3 block must be the tree's nearest distance in every
+    bit: booleans alone would hide a fused multiply-add or a swapped operand.
+    Returns the grid, the booleans and the smallest distance in each block.
+    """
+    centers = np.asarray(centers, dtype=float)
+    points = np.asarray(points, dtype=float)
+    grid = _RegionGrid(centers, radius)
+    hits = grid.contains(points)
+    want, nearest = kdtree_region_hits(centers, points, radius)
+    np.testing.assert_array_equal(hits, want)
+    d, owner = grid.distances(points)
+    best = np.full(len(points), np.inf)
+    np.minimum.at(best, owner, d)
+    assert best[hits].tobytes() == nearest[hits].tobytes()
+    return grid, hits, best
+
+
+def near(centers, radius, seed, count=4000):
+    """Points scattered within 1.5 radii of the centers, kept in (0, 1)."""
+    stream = seed_stream(seed, 0, 9)
+    pick = centers[stream.integers(len(centers), size=count)]
+    offset = (2.0 * uniform_open(stream, (count, 2)) - 1.0) * 1.5 * radius
+    return np.clip(pick + offset, 2.0**-54, TOP)
+
+
+def axis_neighbors(centers, radius, ulps=3):
+    """Points about one radius from each center along each axis, +- a few ulps."""
+    steps = [radius]
+    for _ in range(ulps):
+        steps = [np.nextafter(steps[0], 0.0), *steps, np.nextafter(steps[-1], 1.0)]
+    out = []
+    for s in steps:
+        for axis in (0, 1):
+            for sign in (-1.0, 1.0):
+                p = centers.copy()
+                p[:, axis] += sign * s
+                out.append(p)
+    return np.clip(np.concatenate(out), 2.0**-54, TOP)
+
+
+class TestRegionGrid:
+    @pytest.mark.parametrize("m", [4, 50, 100, 200])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.5, 0.99])
+    def test_matches_bounded_tree_on_uniform_centers(self, m, alpha):
+        radius = alpha / math.sqrt(2 * m)  # n = 2m shared and resampled points
+        stream = seed_stream(m, int(alpha * 1000), 3)
+        centers = uniform_open(stream, (m, 2))
+        points = np.concatenate(
+            [uniform_open(stream, (5000, 2)), near(centers, radius, m)]
+        )
+        _, hits, _ = check_region(centers, points, radius)
+        assert hits.any()
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.3, 0.999])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eight_points(self, alpha, seed):
+        # n = 8, the smallest sampler input: m = 4 centers, at most 8 cells a side
+        radius = alpha * 8 ** (-1.0 / 2.0)
+        stream = seed_stream(seed, 8, 3)
+        centers = uniform_open(stream, (4, 2))
+        points = np.concatenate(
+            [uniform_open(stream, (4000, 2)), near(centers, radius, seed)]
+        )
+        grid, hits, _ = check_region(centers, points, radius)
+        assert grid._g <= 8
+        assert hits.any()
+
+    @pytest.mark.parametrize("cells", [8, 10, 16, 27])
+    def test_points_on_cell_edges(self, cells):
+        # points at k/g, most of them with (k/g) * g a whole number, so that
+        # floor(p * g) lands exactly on a cell edge
+        radius = (1.0 / (cells + 0.5)) / (1.0 + 1e-9)  # 1/cutoff = cells + 0.5
+        edges = np.arange(cells) / cells
+        assert np.sum(edges * cells == np.arange(cells)) >= cells // 2
+        lattice = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
+        lattice = np.maximum(lattice, 2.0**-54)  # uniform_open never draws 0
+        # centers on the lattice diagonal too, probed one radius along each axis
+        centers = np.concatenate(
+            [uniform_open(seed_stream(cells, 0, 4), (60, 2)), lattice[:: cells + 1]]
+        )
+        points = np.concatenate(
+            [lattice, near(centers, radius, cells), axis_neighbors(centers, radius)]
+        )
+        grid, hits, _ = check_region(centers, points, radius)
+        assert grid._g == cells  # under the cap of int(4 sqrt(m)) >= 32
+        assert hits.any()
+
+    def test_probe_exactly_one_radius_away_along_an_axis(self):
+        # dyadic coordinates: center +- 2^-4 is exact, so dx = radius exactly;
+        # the centers are 4 radii apart, so the nearest is the one probed
+        radius = 2.0**-4
+        lattice = 0.125 + 0.25 * np.arange(4)
+        centers = np.stack(np.meshgrid(lattice, lattice), axis=-1).reshape(-1, 2)
+        grid = _RegionGrid(centers, radius)
+        assert grid._g == 15  # 1/cutoff = 15.99999998
+        points = np.concatenate(
+            [centers + [radius, 0.0], centers - [radius, 0.0],
+             centers + [0.0, radius], centers - [0.0, radius]]
+        )
+        _, hits, best = check_region(centers, points, radius)
+        assert hits.all()
+        assert np.all(best == radius)
+        # one ulp farther out is outside the region
+        beyond = centers + [radius, 0.0]
+        beyond[:, 0] = np.nextafter(beyond[:, 0], 1.0)
+        _, hits, _ = check_region(centers, beyond, radius)
+        assert not hits.any()
+
+    @pytest.mark.parametrize("whole", [7, 16, 33])
+    @pytest.mark.parametrize("ulps", range(-4, 5))
+    @pytest.mark.parametrize("of", ["cutoff", "radius"])
+    def test_reciprocal_near_a_whole_number(self, whole, ulps, of):
+        # 1/cutoff within a few ulps of a whole number: the rounding of 1/cutoff
+        # decides between whole and whole - 1 cells a side.  1/radius near a
+        # whole number: cells of side 1/whole would be narrower than the radius
+        # by an ulp, and only the 1e-9 margin keeps them wider
+        margin = 1.0 + 1e-9 if of == "cutoff" else 1.0
+        radius = (1.0 / whole) / margin
+        step = 1.0 if ulps > 0 else 0.0
+        for _ in range(abs(ulps)):
+            radius = float(np.nextafter(radius, step))
+        inverse = 1.0 / (radius * margin)
+        assert abs(inverse - whole) <= 8 * np.spacing(float(whole))
+        seed = 2 * (ulps + 4) + (of == "radius")
+        centers = uniform_open(seed_stream(whole, seed, 5), (80, 2))  # cap 35
+        grid = _RegionGrid(centers, radius)
+        assert grid._g in (whole - 1, whole)
+        # centers just either side of each cell edge, probed about one radius
+        # away along each axis; the two sides of an edge have their own
+        # heights, so no center hides a miss of its neighbor across the edge
+        edges = np.arange(1, grid._g) / grid._g
+        ys = uniform_open(seed_stream(whole, seed, 6), (2, len(edges)))
+        edge_centers = np.concatenate(
+            [
+                np.stack([np.nextafter(edges, 1.0), ys[0]], axis=1),
+                np.stack([np.nextafter(edges, 0.0), ys[1]], axis=1),
+            ]
+        )
+        edge_centers = np.concatenate([centers, edge_centers, edge_centers[:, ::-1]])
+        points = np.concatenate(
+            [axis_neighbors(edge_centers, radius), near(centers, radius, whole)]
+        )
+        _, hits, _ = check_region(edge_centers, points, radius)
+        assert hits.any()
+
+    def test_centers_at_the_square_edges(self):
+        low, high = 2.0**-54, TOP
+        coords = [low, 1e-17, 0.5, np.nextafter(high, 0.0), high]
+        centers = np.array([(a, b) for a in coords for b in coords])
+        for radius in (1e-3, 0.05, 0.3):
+            corners = np.array([(a, b) for a in (low, high) for b in (low, high)])
+            points = np.concatenate(
+                [
+                    centers,
+                    corners,
+                    near(centers, radius, 11),
+                    axis_neighbors(centers, radius),
+                    uniform_open(seed_stream(12), (2000, 2)),
+                ]
+            )
+            _, hits, _ = check_region(centers, points, radius)
+            assert hits[: len(centers)].all()  # every center is in the region
+
+    def test_coincident_centers(self):
+        stream = seed_stream(13)
+        one, two = uniform_open(stream, (2, 2))
+        centers = np.concatenate(
+            [np.repeat([one], 20, axis=0), np.repeat([two], 10, axis=0),
+             uniform_open(stream, (10, 2))]
+        )
+        radius = 0.5 / math.sqrt(80)
+        points = np.concatenate(
+            [centers, near(centers, radius, 13), uniform_open(stream, (3000, 2))]
+        )
+        grid, hits, _ = check_region(centers, points, radius)
+        assert hits[: len(centers)].all()
+        # each of the 20 copies is a separate candidate of the points next to it
+        d, owner = grid.distances(points[:1])
+        assert np.sum(d == 0.0) == 20
+
+    @pytest.mark.parametrize("radius", [0.0, 5e-324, 1e-300, 1e-7 / math.sqrt(8), 1e-3])
+    def test_grid_side_capped_whatever_the_radius(self, radius):
+        # at most 4 sqrt(m) cells a side, so the tables are O(m)
+        centers = uniform_open(seed_stream(14), (4, 2))
+        grid = _RegionGrid(centers, radius)
+        assert grid._g == 8
+        assert grid._count.size + grid._first.size <= 2 * (8 + 2) ** 2
+        assert not grid.contains(uniform_open(seed_stream(15), (1000, 2))).any()
