@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .coupling import PerturbationPlan, product_tv_bound
-from .densities import scaled_affinity
+from .densities import Density1D, scaled_affinity
 from .errors import (
     DegenerateRegionError,
     DomainError,
@@ -150,7 +150,7 @@ def _held_karp_layers(m):
     mask as three frozen index arrays: the flat slot ``j * 2^m + mask`` of the
     node-major (m, 2^m) table, the predecessor ``mask ^ (1 << j)`` and the end
     node j.  They depend on m alone, not on how many instances are stacked;
-    the size checks in ``_held_karp`` bound the cache to TSP_EXACT_MAX - 2
+    the size checks in ``tsp_exact`` bound the cache to TSP_EXACT_MAX - 2
     entries.
     """
     masks, popcount, _ = _subsets(m)
@@ -164,7 +164,17 @@ def _held_karp_layers(m):
     return tuple(layers)
 
 
-def _held_karp(point_sets):
+def _stacked(point_sets, solver):
+    """The points of one or more point sets of one shape, as a (B, n, d) array."""
+    if not point_sets:
+        raise ShapeError(f"{solver} needs at least one point set")
+    shapes = [ps.points.shape for ps in point_sets]
+    if len(set(shapes)) > 1:
+        raise ShapeError(f"{solver} needs point sets of one shape, got {shapes}")
+    return np.stack([ps.points for ps in point_sets])
+
+
+def tsp_exact(*point_sets):
     """Optimal closed tours of equal-size point sets in one Held-Karp pass.
 
     dp[k, mask, b] is the shortest path of instance b from node 0 through the
@@ -172,15 +182,22 @@ def _held_karp(point_sets):
     vectorized step per popcount layer relaxes every (mask, j) pair of the
     layer for all instances at once: the candidates dp[., mask minus j, b] +
     dist[., j, b] are gathered node-major and only their minimum is kept.  The
-    tour is then read back one node at a time from the full mask: each step
-    recomputes, with the same additions, the candidate column of its (mask, j)
-    and takes its ``ndarray.argmin``, the first minimum, so ties go to the
-    smallest predecessor node.  One FunctionalValue per point set, in order.
+    tour, which starts at node 0, is then read back one node at a time from
+    the full mask: each step recomputes, with the same additions, the
+    candidate column of its (mask, j) and takes its ``ndarray.argmin``, the
+    first minimum, so ties go to the smallest predecessor node, as in a loop
+    over the subsets.  One FunctionalValue per point set, in order; each is
+    what the set gives alone.
+
+    The index tables of each layer depend only on n; they are built on the
+    first call for that n and cached, frozen, for later calls (about 2.6 MiB
+    at n = TSP_EXACT_MAX = 15).  The table of partial lengths takes
+    8 (n - 1) 2^(n-1) bytes per instance, 1.75 MiB at n = 15.
     """
-    n = point_sets[0].n
+    points = _stacked(point_sets, "tsp_exact")
+    n = points.shape[1]
     if n < 3 or n > TSP_EXACT_MAX:
         raise SizeError(f"tsp_exact supports 3 <= n <= {TSP_EXACT_MAX}, got {n}")
-    points = np.stack([ps.points for ps in point_sets])
     # (n, n, B): the instance innermost, so the layer tables serve any B
     dist = _distances(points).transpose(1, 2, 0)
     m = n - 1  # nodes 1..n-1, anchored at node 0
@@ -214,25 +231,7 @@ def _held_karp(point_sets):
     return results
 
 
-def tsp_exact(ps):
-    """Optimal closed tour by the Held-Karp subset dynamic program.
-
-    Tours start at node 0.  This is the one-instance case of ``_held_karp``,
-    which ``scaling_coupling`` also runs on a point set and its rescaled copy
-    in one pass.  Each layer keeps only the minimum of its candidates
-    dp[subset minus j] + dist[., j]; the tour is read back from the full
-    subset one node at a time, taking the first minimum of the same candidate
-    column with ``ndarray.argmin``, so ties go to the smallest predecessor
-    node, as in a loop over the subsets.  The index tables of each layer
-    depend only on n; they are built on the first call for that n and cached,
-    frozen, for later calls (about 2.6 MiB at n = TSP_EXACT_MAX = 15).  The
-    table of partial lengths takes 8 (n - 1) 2^(n-1) bytes per instance, 1.75
-    MiB at n = 15.
-    """
-    return _held_karp((ps,))[0]
-
-
-@lru_cache(maxsize=MATCHING_MAX)  # MATCHING_MAX // 2 sizes, one or two instances
+@lru_cache(maxsize=MATCHING_MAX)  # keyed by (n, stack height)
 def _matching_layers(n, count):
     """Index tables of the matching DP over ``count`` stacked n-point instances.
 
@@ -281,27 +280,33 @@ def _matching_layers(n, count):
     return tuple(layers)
 
 
-def _bitmask_matching(point_sets):
+def matching_exact(*point_sets):
     """Minimum-weight perfect matchings of equal-size point sets in one DP pass.
 
-    The instances' dp tables are stacked end to end, instance b's subsets at
-    b * 2^n, with one shared +inf sentinel slot after them, so that one
-    vectorized step per popcount layer serves them all.  Each step computes
-    dp[subset] as the minimum over its candidate last pairs of
-    dp[predecessor] + dist[i, j], with the candidates ordered by predecessor
-    subset so that ``ndarray.argmin`` keeps the smallest predecessor among
-    equal costs, and records that predecessor; each matching is read back
-    from its instance's full subset.  The value is recomputed from the
-    witness pairs, a perfect matching by construction, as ``matching_length``
-    would.  One FunctionalValue per point set, in order.
+    Every step pairs the lowest unmatched point.  The instances' dp tables are
+    stacked end to end, instance b's subsets at b * 2^n, with one shared +inf
+    sentinel slot after them, so that one vectorized step per popcount layer
+    serves them all.  Each step computes dp[subset] as the minimum over its
+    candidate last pairs of dp[predecessor] + dist[i, j], with the candidates
+    ordered by predecessor subset so that ``ndarray.argmin`` keeps the
+    smallest predecessor among equal costs, and records that predecessor;
+    each matching is read back from its instance's full subset.  The value is
+    recomputed from the witness pairs, a perfect matching by construction, as
+    ``matching_length`` would.  One FunctionalValue per point set, in order;
+    each is what the set gives alone.
+
+    The index tables depend only on n and the number of point sets; they are
+    built on the first call for that pair and cached, frozen, for later calls
+    (about 0.3 MiB at n = MATCHING_MAX = 16 per point set).
     """
-    n = point_sets[0].n
+    points = _stacked(point_sets, "matching_exact")
+    n = points.shape[1]
     if n % 2 != 0 or n < 2 or n > MATCHING_MAX:
         raise SizeError(
             f"matching_exact supports even 2 <= n <= {MATCHING_MAX}, got {n}"
         )
     count = len(point_sets)
-    pair_dist = _distances(np.stack([ps.points for ps in point_sets])).reshape(-1)
+    pair_dist = _distances(points).reshape(-1)
     full = 1 << n
     dp = np.empty(count * full + 1)
     dp.fill(np.inf)  # the last slot is the padding sentinel
@@ -329,23 +334,6 @@ def _bitmask_matching(point_sets):
     return results
 
 
-def matching_exact(ps):
-    """Minimum-weight perfect matching by bitmask dynamic programming.
-
-    Every step pairs the lowest unmatched point.  This is the one-instance
-    case of ``_bitmask_matching``, which ``scaling_coupling`` also runs on a
-    point set and its rescaled copy in one pass.  One vectorized step per
-    popcount layer computes dp[subset] as the minimum over its candidate last
-    pairs of dp[predecessor] + dist[i, j]; ``ndarray.argmin`` keeps the
-    smallest predecessor among equal costs, and the matching is read back
-    through the recorded predecessors.  The index tables depend only on n and
-    the instance count; they are built on the first call for that pair and
-    cached, frozen, for later calls (about 0.3 MiB at n = MATCHING_MAX = 16
-    for one instance, about twice that for two).
-    """
-    return _bitmask_matching((ps,))[0]
-
-
 def nn_sum(ps):
     """Sum over points of the distance to the nearest other point.
 
@@ -362,33 +350,26 @@ def nn_sum(ps):
     return FunctionalValue(float(dist[:, 1].sum()), None)
 
 
-def evaluate_functional(ps, kind):
-    """Dispatch a functional evaluation by kind."""
-    if kind == "tsp-exact":
-        return tsp_exact(ps)
-    if kind == "matching-exact":
-        return matching_exact(ps)
-    if kind == "nn-sum":
-        return nn_sum(ps)
-    raise DomainError(f"unknown functional kind {kind!r}")
-
-
 def scaling_coupling(ps, alpha, r, kind, density):
     """Global scaling coupling: every coordinate shrinks by 1/(1 + eps).
 
     Returns (base value, scaled value, tv_bound).  The scaled value is
     computed both from the homogeneity identity value / (1+eps)^r and by
     re-evaluating the functional on the scaled points; disagreement beyond
-    1e-9 relative means the functional is not homogeneous of degree r.  The
-    exact solvers evaluate both point sets in one stacked pass
-    (``_held_karp``, ``_bitmask_matching``), each value and witness the same
-    as ``tsp_exact`` or ``matching_exact`` gives on that set alone; "nn-sum"
-    is evaluated once per set.  Each value is the length of its own witness on
-    its own point set, so the check still compares two separate evaluations.
-    The TV bound depends only on (eps, rho, number of coordinates), so it is
-    built once per such triple and kept in a 64-entry cache; the affinity rho
-    is looked up on every call.
+    1e-9 max(1, |value / (1+eps)^r|), relative above 1 and absolute below,
+    means the functional is not homogeneous of degree r.  ``tsp_exact`` and
+    ``matching_exact`` evaluate both point sets in one stacked pass, each
+    value and witness the same as the set gives alone; ``nn_sum`` is called
+    once per set.  Each value is the length of its own witness on its own
+    point set, so the check still compares two separate evaluations.  The TV
+    bound depends only on (eps, rho, number of coordinates), so it is built
+    once per such triple and kept in a 64-entry cache; the affinity rho is
+    looked up on every call.
     """
+    if kind not in ("tsp-exact", "matching-exact", "nn-sum"):
+        raise DomainError(f"unknown functional kind {kind!r}")
+    if not isinstance(density, Density1D):
+        raise DomainError(f"density must be a Density1D, got {density!r}")
     n = ps.n
     if n < 2:
         raise SizeError(f"scaling_coupling needs n >= 2 points, got {n}")
@@ -396,12 +377,11 @@ def scaling_coupling(ps, alpha, r, kind, density):
     eps = real(real(alpha, "alpha") / math.sqrt(n), "alpha / sqrt(n)", 0, 0.5, "[)")
     shrunk = ps.scaled(1.0 / (1.0 + eps))
     if kind == "tsp-exact":
-        base, rescaled = _held_karp((ps, shrunk))
+        base, rescaled = tsp_exact(ps, shrunk)
     elif kind == "matching-exact":
-        base, rescaled = _bitmask_matching((ps, shrunk))
+        base, rescaled = matching_exact(ps, shrunk)
     else:
-        base = evaluate_functional(ps, kind)
-        rescaled = evaluate_functional(shrunk, kind)
+        base, rescaled = nn_sum(ps), nn_sum(shrunk)
     identity_value = base.value / (1.0 + eps) ** r
     tol = 1e-9 * max(1.0, abs(identity_value))
     if not abs(rescaled.value - identity_value) <= tol:  # NaN fails it too
