@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .densities import AffinityResult
 from .errors import DomainError, ShapeError, real, whole
@@ -53,7 +52,13 @@ class AssignmentResult:
 
 
 def hungarian(cm):
-    """Optimal assignment by ``scipy.optimize.linear_sum_assignment``."""
+    """Optimal assignment by ``scipy.optimize.linear_sum_assignment``.
+
+    ``scipy.optimize`` is imported on the first call, so importing this module
+    does not load it.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     _rows, perm = linear_sum_assignment(cm.entries)
     cost = float(cm.entries[np.arange(cm.n), perm].sum())
     return AssignmentResult(permutation=perm, cost=cost)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .coupling import PerturbationPlan, product_tv_bound
 from .densities import Density1D, scaled_affinity
@@ -342,8 +341,11 @@ def nn_sum(ps):
     0 too for a duplicate).  The tree squares and sums the coordinate
     differences as ``_distances`` does, so the sum is the same as the
     minimum over each row of the dense matrix, in O(n log n) time and O(n)
-    memory.
+    memory.  ``scipy.spatial`` is imported on the first call, so importing
+    this module does not load it.
     """
+    from scipy.spatial import cKDTree
+
     if ps.n < 2:
         raise SizeError(f"nn_sum needs n >= 2, got {ps.n}")
     dist = cKDTree(ps.points).query(ps.points, k=2)[0]

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .coupling import PerturbationPlan, product_tv_bound
 from .densities import scaled_affinity
@@ -138,7 +136,12 @@ def passage_time(grid):
     neighbours u of dist[u] + w whatever the order of relaxation, and at a tie
     any tied path is a valid witness.  A step from vertex id lo to lo + height
     is edge lo; from lo to lo + 1, edge (width-1) * height + lo - lo // height.
+    ``scipy.sparse`` and its ``csgraph`` are imported on the first call, so
+    importing this module does not load them.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     w, h = grid.width, grid.height
     indptr, indices, slot_edge = _box_graph(w, h)
     weights = _flat(grid.h_weights, grid.v_weights)

@@ -2,11 +2,13 @@
 
 import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
 from flucert.coupling import (
     CouplingCertificate,
@@ -18,6 +20,7 @@ from flucert.coupling import (
     product_tv_bound,
     tv_upper_from_affinity,
 )
+from flucert.densities import scaled_affinity, standard_density
 from flucert.errors import DomainError, SizeError
 from flucert.rng import seed_stream
 from oracles import (
@@ -25,6 +28,18 @@ from oracles import (
     bernoulli_exact_tv_in_order,
     bernoulli_two_draws,
 )
+
+
+def exact_scale_tv(density, n, eps):
+    """Exact TV between n i.i.d. draws of ``density`` and the same divided by
+    1 + eps, from its law at the density crossing.  The likelihood ratio
+    depends only on r = sum x^2 (chi-square, n degrees) for the Gaussian and
+    s = sum x (Gamma(n)) for the exponential, and it crosses 1 once."""
+    if density.name == "std-gaussian":
+        r = 2 * n * math.log1p(eps) / ((1 + eps) ** 2 - 1)
+        return abs(gammainc(n / 2, r * (1 + eps) ** 2 / 2) - gammainc(n / 2, r / 2))
+    s = n * math.log1p(eps) / eps
+    return abs(gammainc(n, s * (1 + eps)) - gammainc(n, s))
 
 
 def certified_bound(p_close, tv):
@@ -95,6 +110,34 @@ class TestProductTvBound:
         plan = PerturbationPlan("mixing", np.zeros(n), np.full(n, 1.0 - c / n))
         expected = math.sqrt(1.0 - math.exp(-2.0 * c))
         assert product_tv_bound(plan) == pytest.approx(expected, abs=1e-5)
+
+    @pytest.mark.parametrize("name", ["std-gaussian", "exponential-rate-1"])
+    def test_brackets_exact_scale_tv(self, name):
+        # 1 - rho^n is the squared Hellinger distance, a lower bound on the TV
+        density = standard_density(name)
+        for n in (20, 80, 320, 1280, 5120, 20480, 51200):
+            for size in (0.01, 0.03, 0.1, 0.2, 0.3, 0.45):
+                for eps in (size, -size):
+                    rho = scaled_affinity(density, eps).rho
+                    plan = PerturbationPlan("scale", np.full(n, eps), np.full(n, rho))
+                    exact = exact_scale_tv(density, n, eps)
+                    assert -math.expm1(n * math.log(rho)) <= exact, (n, eps)
+                    assert exact <= product_tv_bound(plan), (n, eps)
+
+    @pytest.mark.parametrize(
+        "name, n, eps, expected",
+        [
+            ("std-gaussian", 20, 0.3, 0.5885),  # the Monte-Carlo gate's value
+            ("std-gaussian", 66, -1 / 12, 0.3819),  # SK, n = 12
+            ("std-gaussian", 20, 10**-0.5, 0.6102),  # TSP, n = 10
+            ("exponential-rate-1", 10**4, 0.01, 0.3812),
+            ("std-gaussian", 51200, 51200**-0.5, 0.5195),  # covariance
+        ],
+    )
+    def test_exact_scale_tv_values(self, name, n, eps, expected):
+        assert exact_scale_tv(standard_density(name), n, eps) == pytest.approx(
+            expected, abs=5e-5
+        )
 
 
 class TestPerturbationPlan:
@@ -298,6 +341,33 @@ class TestCertify:
         expected = min(1.0, 0.5 * (1 + min(1.0, 0.3 + slack) + 0.25))
         assert cert.bound == pytest.approx(expected, abs=1e-15)
         assert cert.delta == 1.5
+
+    def test_covers_exact_bernoulli_closeness(self):
+        # the gap S' - S is exactly Bin(n, eps/2): with n = 100 and alpha = 1,
+        # P(gap <= 2.5) = P(Bin(100, 0.05) <= 2), about 0.118
+        n, delta, seeds, replicates = 100, 2.5, range(1, 201), 60
+        p = Fraction(1, 20)
+        pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+        cdf = np.cumsum([float(q) for q in pmf])
+        exact = float(sum(pmf[:3]))
+        assert exact == pytest.approx(0.1183, abs=1e-4)
+        gaps = np.empty((len(seeds), replicates), dtype=int)
+        for i, seed in enumerate(seeds):
+            for rep in range(replicates):
+                stream = seed_stream(seed, rep, 0)
+                x, x_prime = bernoulli_mixing_coupling(n, 1.0, stream)
+                gaps[i, rep] = int(x_prime.sum()) - int(x.sum())
+        covered = 0
+        for row in gaps:
+            cert = certify(row <= delta, 0.0, 0.95, delta)
+            covered += cert.p_close_hat + cert.p_close_slack >= exact
+        assert covered >= 190
+        # the Hoeffding slack at 60 replicates (0.175) alone exceeds the exact
+        # value, so the pooled gaps must also follow Bin(n, eps/2) itself: a
+        # two-sided DKW band at 99.9 % around their empirical CDF
+        empirical = np.bincount(gaps.ravel(), minlength=n + 1).cumsum() / gaps.size
+        band = math.sqrt(math.log(2 / 0.001) / (2 * gaps.size))
+        assert np.max(np.abs(empirical - cdf)) <= band
 
     def test_confidence_domain(self):
         with pytest.raises(DomainError):

@@ -37,17 +37,76 @@ def test_package_binds_only_modules():
     assert all(isinstance(v, types.ModuleType) for v in public.values()), public
 
 
+#: SciPy subpackages that importing flucert must leave unloaded
+DEFERRED = (
+    "scipy.integrate",
+    "scipy.optimize",
+    "scipy.sparse",
+    "scipy.sparse.csgraph",
+    "scipy.spatial",
+)
+
+#: an SK replicate and the exact Euclidean scaling couplings, with their TVs
+EXACT_MODELS = """
+from flucert import coupling, densities, euclidean, rng, spin_glass
+gauss = densities.standard_density("std-gaussian")
+dis = spin_glass.SKDisorder(6, densities.sample_iid(gauss, 15, rng.seed_stream(1)))
+scaled = spin_glass.scale_disorder(dis, 1.0)
+energies = [spin_glass.enumerate_energies(d) for d in (dis, scaled)]
+spin_glass.jensen_gap_check(dis, 1.0, 1.0, *energies)
+rho = densities.scaled_affinity(gauss, -1 / 6).rho
+coupling.product_tv_bound(coupling.PerturbationPlan("scale", [-1 / 6] * 15, [rho] * 15))
+points = densities.sample_iid(gauss, 16, rng.seed_stream(1, 1)).reshape(8, 2)
+for kind in ("tsp-exact", "matching-exact"):
+    euclidean.scaling_coupling(euclidean.PointSet(2, points), 1.0, 1, kind, gauss)
+"""
+
+#: one call of each function that imports a SciPy kernel, keyed by that kernel
+FIRST_CALLS = {
+    "scipy.optimize": "from flucert.assignment import CostMatrix, hungarian\n"
+    "hungarian(CostMatrix(2, [[0.0, 1.0], [1.0, 0.0]]))",
+    "scipy.sparse.csgraph": "from flucert.fpp import FppGrid, passage_time\n"
+    "passage_time(FppGrid(2, 2, [[1.0, 1.0]], [[1.0], [1.0]], (0, 0), (1, 1)))",
+    "scipy.spatial": "from flucert.euclidean import PointSet, nn_sum\n"
+    "nn_sum(PointSet(1, [[0.0], [1.0]]))",
+}
+
+
 def test_no_module_imports_quadrature():
-    """Every affinity is a closed form: importing all of flucert leaves
-    scipy.integrate unloaded."""
+    """Every affinity is a closed form, and each SciPy solver kernel is
+    imported by the one function that calls it.  Importing all of flucert,
+    or running an SK replicate and the exact Euclidean scaling couplings,
+    loads none of ``DEFERRED`` beyond what ``import numpy, scipy.special``
+    loads by itself; ``hungarian``, ``passage_time`` and ``nn_sum`` each load
+    their kernel.  Every case runs in a fresh interpreter of its own."""
     stems = [path.stem for path in SOURCES if path.stem != "__init__"]
     modules = ["flucert", *(f"flucert.{stem}" for stem in stems)]
-    code = (
-        f"import importlib, sys\nfor m in {modules!r}: importlib.import_module(m)\n"
-        "assert 'scipy.integrate' not in sys.modules"
-    )
+    imports = f"import importlib\nfor m in {modules!r}: importlib.import_module(m)\n"
+    report = f"\nimport sys\nprint([m for m in {DEFERRED!r} if m in sys.modules])"
+    cases = {
+        "baseline": "import numpy, scipy.special",
+        "import": imports,
+        "exact models": imports + EXACT_MODELS,
+        **{kernel: imports + call for kernel, call in FIRST_CALLS.items()},
+    }
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    procs = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", code + report], env=env, stdout=subprocess.PIPE,
+            text=True,
+        )
+        for name, code in cases.items()
+    }
+    loaded = {}
+    for name, proc in procs.items():
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, name
+        loaded[name] = set(ast.literal_eval(out.strip()))
+    baseline = loaded.pop("baseline")
+    assert loaded["import"] - baseline == set()
+    assert loaded["exact models"] - baseline == set()
+    for kernel in FIRST_CALLS:
+        assert kernel in loaded[kernel], kernel
 
 
 def names_in(node):
@@ -66,13 +125,43 @@ def names_in(node):
     return names
 
 
+def unused_local_imports(stem, tree):
+    """``stem.function: name`` for each name that an import inside a function
+    binds and that function, or a function nested in it, never reads.  An
+    import in a nested function belongs to the nested one."""
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {
+            sub.id
+            for sub in ast.walk(func)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        # the function's own statements, not those of a scope nested in it
+        stack = list(func.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).partition(".")[0]
+                    if bound not in read:
+                        unused.append(f"{stem}.{func.name}: {bound}")
+            elif not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                stack.extend(ast.iter_child_nodes(node))
+    return unused
+
+
 def test_every_public_name_is_reached():
     """Each public function and class is used elsewhere in the package or by
-    the benchmark, or waits on a ROADMAP item; no module imports a name it
-    never uses."""
+    the benchmark, or waits on a ROADMAP item; no module or function imports
+    a name it never uses."""
     definitions, uses, unused_imports = [], [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
+        unused_imports += unused_local_imports(path.stem, tree)
         is_import = [isinstance(n, (ast.Import, ast.ImportFrom)) for n in tree.body]
         imports = [n for n, flag in zip(tree.body, is_import) if flag]
         body = [n for n, flag in zip(tree.body, is_import) if not flag]
