@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import AffinityResult
-from .errors import DomainError, ShapeError, real, whole
+from .errors import DomainError, real, reals, whole
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,7 @@ class CostMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "n", whole(self.n, "n"))
-        a = np.asarray(self.entries, dtype=float)
-        if a.shape != (self.n, self.n):
-            raise ShapeError(f"expected {(self.n, self.n)} cost matrix, got {a.shape}")
-        if not np.all(np.isfinite(a)) or np.any(a < 0.0):
-            raise DomainError("costs must be finite and nonnegative")
+        a = reals(self.entries, "costs", (self.n, self.n), 0, math.inf, "[)")
         object.__setattr__(self, "entries", a)
 
 
@@ -72,9 +68,7 @@ def invert_perturbation(a, alpha, n):
     """
     n = whole(n, "n")
     alpha = real(alpha, "alpha", 0, math.inf, "[)")
-    a = np.asarray(a, dtype=float)
-    if not np.all(a >= 0.0):
-        raise DomainError("perturbed costs must be nonnegative")
+    a = reals(a, "perturbed costs", None, 0, math.inf, "[)")
     root_n = math.sqrt(n)
     eps = alpha / n
     breakpoint_image = (1.0 / n) * (1.0 + alpha / root_n)

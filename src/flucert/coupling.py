@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, SizeError, real, whole
+from .errors import DomainError, SizeError, real, reals, whole
 
 PLAN_KINDS = ("scale", "mixing", "nonlinear", "edge-graded")
 #: a raw word w gives a uniform below 1/2 exactly when w < 2**63
@@ -44,15 +44,8 @@ class PerturbationPlan:
     def __post_init__(self):
         if self.kind not in PLAN_KINDS:
             raise DomainError(f"unknown plan kind {self.kind!r}")
-        eps = np.asarray(self.eps_values, dtype=float)
-        rho = np.asarray(self.affinity_lower_bounds, dtype=float)
-        if eps.shape != rho.shape or eps.ndim != 1:
-            raise DomainError("eps and affinity vectors must be equal-length 1-d")
-        if not np.all(np.isfinite(eps)):
-            raise DomainError("eps values must be finite")
-        # written so that NaN fails it too
-        if not np.all((rho >= 0.0) & (rho <= 1.0)):
-            raise DomainError("affinity lower bounds must lie in [0, 1]")
+        eps = reals(self.eps_values, "eps", (None,))
+        rho = reals(self.affinity_lower_bounds, "rho", eps.shape, 0, 1, "[]")
         if self.kind == "scale" and np.any(np.abs(eps) >= 0.5):
             raise DomainError("scale perturbations need |eps| < 1/2")
         object.__setattr__(self, "eps_values", eps)
@@ -187,8 +180,12 @@ def certify(samples_close_indicator, tv_bound, confidence, delta=0.0):
     stochastic error in the certificate is the closeness estimate, which is
     inflated by a two-sided Hoeffding correction at the given confidence.
     """
-    ind = np.asarray(samples_close_indicator, dtype=float)
-    if np.any((ind != 0.0) & (ind != 1.0)):
+    try:
+        ind = np.asarray(samples_close_indicator)
+    except ValueError:  # numpy refuses a ragged nest
+        raise DomainError("indicators must be 0/1") from None
+    # a bool array stays accepted: it is how a caller writes gap <= delta
+    if ind.dtype.kind not in "biuf" or np.any((ind != 0) & (ind != 1)):
         raise DomainError("indicators must be 0/1")
     slack = hoeffding_slack(ind.size, confidence)
     return CouplingCertificate(delta, ind.mean(), slack, tv_bound, confidence)

@@ -25,6 +25,7 @@ from .errors import (
     ShapeError,
     SizeError,
     real,
+    reals,
     whole,
 )
 from .rng import uniform_open
@@ -42,19 +43,14 @@ class PointSet:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", whole(self.dim, "dim"))
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ShapeError(f"points must be (n, {self.dim}), got {pts.shape}")
+        pts = reals(self.points, "points", (None, self.dim))
         if pts.shape[0]:
-            # bounds every squared distance between two points; it is not
-            # finite either when a coordinate is not
+            # bounds every squared distance between two points
             spread = sum(
                 (hi - lo) * (hi - lo)
                 for hi, lo in zip(pts.max(axis=0).tolist(), pts.min(axis=0).tolist())
             )
             if not math.isfinite(spread):
-                if not np.all(np.isfinite(pts)):
-                    raise DomainError("all coordinates must be finite")
                 raise DomainError(
                     "squared coordinate differences overflow; rescale the points"
                 )

@@ -22,7 +22,8 @@ import numpy as np
 
 from .coupling import PerturbationPlan, product_tv_bound
 from .densities import scaled_affinity
-from .errors import ConfigError, DomainError, NumericError, ShapeError, real, whole
+from .errors import ConfigError, DomainError, NumericError, ShapeError
+from .errors import real, reals, whole
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,15 @@ class FppGrid:
     def __post_init__(self):
         for side in ("width", "height"):
             object.__setattr__(self, side, whole(getattr(self, side), side, 2))
-        h = np.asarray(self.h_weights, dtype=float)
-        v = np.asarray(self.v_weights, dtype=float)
-        if h.shape != (self.width - 1, self.height):
-            raise ShapeError(
-                f"h_weights must be {(self.width - 1, self.height)}, got {h.shape}"
-            )
-        if v.shape != (self.width, self.height - 1):
-            raise ShapeError(
-                f"v_weights must be {(self.width, self.height - 1)}, got {v.shape}"
-            )
-        finite = h.max() < math.inf and v.max() < math.inf
-        if not (finite and 0.0 < h.min() and 0.0 < v.min()):  # NaN fails it too
-            raise DomainError("all edge weights must be finite and positive")
+        w, h = self.width, self.height
+        for name, shape in (("h_weights", (w - 1, h)), ("v_weights", (w, h - 1))):
+            weights = reals(getattr(self, name), name, shape, 0, math.inf)
+            object.__setattr__(self, name, weights)
         for name in ("source", "target"):
-            x, y = getattr(self, name)
+            try:
+                x, y = getattr(self, name)
+            except (TypeError, ValueError):
+                raise DomainError(f"{name} must be an (x, y) pair") from None
             point = (
                 whole(x, f"{name} x", 0, self.width),
                 whole(y, f"{name} y", 0, self.height),
@@ -66,8 +61,6 @@ class FppGrid:
             object.__setattr__(self, name, point)
         if self.source == self.target:
             raise ConfigError("source and target must differ")
-        object.__setattr__(self, "h_weights", h)
-        object.__setattr__(self, "v_weights", v)
 
 
 def _flat(h_part, v_part):
@@ -97,13 +90,9 @@ class EpsSchedule:
     v_values: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h_values, dtype=float)
-        v = np.asarray(self.v_values, dtype=float)
-        if h.ndim != 2 or v.shape != (h.shape[0] + 1, h.shape[1] - 1):
-            raise ShapeError(f"strengths {h.shape} and {v.shape} do not fit one box")
-        for values in (h, v):
-            if not np.all(np.isfinite(values) & (values >= 0.0)):
-                raise DomainError("schedule values must be finite and nonnegative")
+        h = reals(self.h_values, "h_values", (None, None), 0, math.inf, "[)")
+        v_shape = (h.shape[0] + 1, h.shape[1] - 1)  # the h shape fixes the box
+        v = reals(self.v_values, "v_values", v_shape, 0, math.inf, "[)")
         object.__setattr__(self, "h_values", h)
         object.__setattr__(self, "v_values", v)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankError, ShapeError, real, whole
+from .errors import RankError, ShapeError, real, reals, whole
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,7 @@ def covariance_spec(order, sample_count):
 
 def build(spec, inputs):
     """Assemble the covariance matrix from the flat input vector."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != (spec.n_inputs,):
-        raise ShapeError(
-            f"a covariance of order {spec.order} needs {spec.n_inputs} inputs, "
-            f"got shape {inputs.shape}"
-        )
-    if not np.all(np.isfinite(inputs)):
-        raise DomainError("inputs must be finite")
+    inputs = reals(inputs, "inputs", (spec.n_inputs,))
     data = inputs.reshape(spec.sample_count, spec.order)
     centered = data - data.mean(axis=0)
     return (centered.T @ centered) / spec.sample_count
@@ -63,11 +56,9 @@ def log_abs_det(matrix):
     slogdet reports log |det| = -inf, with sign 0, when a pivot is exactly
     zero; that marks the matrix as rank deficient.
     """
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = reals(matrix, "matrix", (None, None))
+    if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"need a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise DomainError("matrix must be finite")
     return float(np.linalg.slogdet(mat)[1])
 
 
@@ -79,12 +70,13 @@ def scaling_shift_check(spec, inputs, alpha):
     the base log-determinant minus the scaled one equals that shift.
     Returns (base, scaled, shift, exact).
     """
+    inputs = reals(inputs, "inputs")
     root = math.sqrt(spec.n_inputs)
     eps = real(real(alpha, "alpha") / root, "alpha / sqrt(n_inputs)", 0, 0.5, "[)")
     base = log_abs_det(build(spec, inputs))
     if base == -math.inf:
         raise RankError("base matrix is singular")
-    scaled = log_abs_det(build(spec, np.asarray(inputs, dtype=float) / (1.0 + eps)))
+    scaled = log_abs_det(build(spec, inputs / (1.0 + eps)))
     if scaled == -math.inf:
         raise RankError("scaled matrix is singular")
     shift = 2 * spec.order * math.log1p(eps)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError, SizeError, real, whole
+from .errors import NumericError, ShapeError, SizeError, real, reals, whole
 
 MAX_SPINS = 20
 
@@ -31,14 +31,7 @@ class SKDisorder:
 
     def __post_init__(self):
         object.__setattr__(self, "n", whole(self.n, "n"))
-        g = np.asarray(self.couplings, dtype=float)
-        expected = self.n * (self.n - 1) // 2
-        if g.ndim != 1 or g.size != expected:
-            raise ShapeError(
-                f"need {expected} couplings for n = {self.n}, got shape {g.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise DomainError("couplings must be finite")
+        g = reals(self.couplings, "couplings", (self.n * (self.n - 1) // 2,))
         object.__setattr__(self, "couplings", g)
 
     def coupling_matrix(self):
@@ -106,15 +99,10 @@ def result_from_energies(energies, beta):
     Raises ``NumericError`` when beta times an energy overflows.
     """
     beta = real(beta, "beta", 0, math.inf, "[)")
-    energies = np.asarray(energies, dtype=float)
-    if energies.ndim != 1 or energies.size == 0:
-        raise ShapeError(
-            f"energy table must be a non-empty 1-D array, got shape {energies.shape}"
-        )
+    energies = reals(energies, "energies", (None,))
+    if energies.size == 0:
+        raise ShapeError("energy table must be non-empty")
     low, high = float(energies.min()), float(energies.max())
-    # min and max propagate NaN, so this checks every entry
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise DomainError("energy table must be finite")
     # beta >= 0, so beta * E is monotone in E and its extremes bound it
     top = beta * high
     if not (math.isfinite(beta * low) and math.isfinite(top)):
@@ -157,10 +145,11 @@ def jensen_gap_check(dis, alpha, beta, energies, scaled_energies):
     """
     alpha, beta = real(alpha, "alpha"), real(beta, "beta")
     shrink = _shrink(dis.n, alpha)
-    _check_table_length(energies, dis.n)
-    _check_table_length(scaled_energies, dis.n)
+    # these check that each table is a 1-D array of reals, so np.shape works
     base = result_from_energies(energies, beta)
     scaled = result_from_energies(scaled_energies, beta)
+    _check_table_length(energies, dis.n)
+    _check_table_length(scaled_energies, dis.n)
     lhs = scaled.free_energy - base.free_energy
     rhs = beta * alpha * base.gibbs_energy / (dis.n * shrink)
     return lhs, rhs, bool(lhs >= rhs - 1e-10)

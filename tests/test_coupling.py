@@ -21,7 +21,7 @@ from flucert.coupling import (
     tv_upper_from_affinity,
 )
 from flucert.densities import scaled_affinity, standard_density
-from flucert.errors import DomainError, SizeError
+from flucert.errors import DomainError, ShapeError, SizeError
 from flucert.rng import seed_stream
 from oracles import (
     bernoulli_coordinate_affinity,
@@ -142,7 +142,7 @@ class TestProductTvBound:
 
 class TestPerturbationPlan:
     def test_length_mismatch(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ShapeError):
             PerturbationPlan("scale", np.zeros(3), np.ones(2))
 
     def test_scale_eps_range(self):
@@ -372,6 +372,19 @@ class TestCertify:
     def test_confidence_domain(self):
         with pytest.raises(DomainError):
             certify(np.ones(4), 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "indicators",
+        [[[1], [1, 0]], ["1", "0"], [1, None], [1 + 0j, 0], [1, 0.5], [1, math.nan]],
+    )
+    def test_ragged_or_non_numeric_indicators_rejected(self, indicators):
+        with pytest.raises(DomainError, match="^indicators must be 0/1"):
+            certify(indicators, 0.0, 0.95)
+
+    @pytest.mark.parametrize("to_array", [list, np.array])
+    def test_bool_and_int_indicators_accepted(self, to_array):
+        for indicators in ([True, False, True, True], [1, 0, 1, 1]):
+            assert certify(to_array(indicators), 0.0, 0.95).p_close_hat == 0.75
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError, match="need a whole indicator count >= 1"):

@@ -1,6 +1,6 @@
 """Every size, count and index enters through ``errors.whole``, every scalar
-real parameter through ``errors.real``, and no NaN or infinite array enters
-at all.
+real parameter through ``errors.real``, and every float array through
+``errors.reals``.
 
 One table lists each entry point that takes a count, as a call of the count
 alone, with a value it accepts and an integer just outside its range.  Each
@@ -9,8 +9,11 @@ entry must reject a non-integral, boolean or out-of-range count with a
 table does the same for the real parameters: each entry must reject a bool, a
 str, None, an array, NaN and a value outside its interval with a
 ``DomainError`` that names the argument, and accept Python and NumPy numbers.
-A third table lists the entry points that take a float array; each must reject
-one NaN or infinite entry with a ``DomainError`` that names the argument.
+A third table lists the entry points that take a float array, with an array
+each accepts.  Each must reject one NaN or infinite entry, and a bool,
+complex, str, object, None or ragged input, with a ``DomainError`` that names
+the argument; reject an array with an extra axis with a ``ShapeError`` that
+names it; and accept nested lists of ints.
 """
 
 import math
@@ -23,7 +26,7 @@ import pytest
 
 from flucert import assignment, coupling, densities, euclidean, fpp, random_matrix
 from flucert import rng, spin_glass
-from flucert.errors import DomainError, real, whole
+from flucert.errors import DomainError, ShapeError, real, reals, whole
 
 EXPO = densities.standard_density("exponential-rate-1")
 GAUSS = densities.standard_density("std-gaussian")
@@ -368,36 +371,132 @@ def test_python_and_numpy_reals_accepted(call, value):
     call(value)
 
 
-# (id, name in the message, call of a finite float array, length it needs)
+MATRIX = np.array([[3.25, 1.0], [2.25, 7.0]])
+
+# (id, name the message starts with, call of the array, an array it accepts)
 ARRAYS = [
-    ("build covariance", "inputs", lambda a: random_matrix.build(COVARIANCE, a), 8),
+    (
+        "PerturbationPlan eps",
+        "eps",
+        lambda a: coupling.PerturbationPlan("mixing", a, np.full(3, 0.9)),
+        np.array([0.1, -0.2, 0.3]),
+    ),
+    (
+        "PerturbationPlan rho",
+        "rho",
+        lambda a: coupling.PerturbationPlan("mixing", np.zeros(3), a),
+        np.array([0.0, 0.9, 1.0]),
+    ),
+    ("PointSet", "points", lambda a: euclidean.PointSet(2, a), POINTS.points),
+    ("CostMatrix", "costs", lambda a: assignment.CostMatrix(3, a), COSTS.entries),
+    (
+        "invert_perturbation",
+        "perturbed costs",
+        lambda a: assignment.invert_perturbation(a, 1.0, 4),
+        np.array([0.0, 0.2, 2.0]),
+    ),
+    (
+        "FppGrid h_weights",
+        "h_weights",
+        lambda a: fpp.FppGrid(3, 3, a, np.ones((3, 2)), (0, 0), (2, 2)),
+        np.arange(1.0, 7.0).reshape(2, 3),
+    ),
+    (
+        "FppGrid v_weights",
+        "v_weights",
+        lambda a: fpp.FppGrid(3, 3, np.ones((2, 3)), a, (0, 0), (2, 2)),
+        np.arange(1.0, 7.0).reshape(3, 2),
+    ),
+    (
+        "EpsSchedule h_values",
+        "h_values",
+        lambda a: fpp.EpsSchedule(a, np.full((4, 2), 0.1)),
+        np.array([[0.0, 0.1, 0.2]] * 3),
+    ),
+    (
+        "EpsSchedule v_values",
+        "v_values",
+        lambda a: fpp.EpsSchedule(np.full((3, 3), 0.1), a),
+        np.array([[0.0, 0.3]] * 4),
+    ),
+    (
+        "build covariance",
+        "inputs",
+        lambda a: random_matrix.build(COVARIANCE, a),
+        COVARIANCE_INPUTS,
+    ),
     (
         "scaling_shift_check",
         "inputs",
         lambda a: random_matrix.scaling_shift_check(COVARIANCE, a, 1.0),
-        8,
+        COVARIANCE_INPUTS,
+    ),
+    ("log_abs_det", "matrix", random_matrix.log_abs_det, MATRIX),
+    (
+        "SKDisorder",
+        "couplings",
+        lambda a: spin_glass.SKDisorder(3, a),
+        DISORDER.couplings,
     ),
     (
-        "log_abs_det",
-        "matrix",
-        lambda a: random_matrix.log_abs_det(a.reshape(2, 2) + 3.0 * np.eye(2)),
-        4,
+        "result_from_energies",
+        "energies",
+        lambda a: spin_glass.result_from_energies(a, 1.0),
+        ENERGIES,
     ),
-    ("SKDisorder", "couplings", lambda a: spin_glass.SKDisorder(3, a), 3),
-    ("CostMatrix", "costs", lambda a: assignment.CostMatrix(2, a.reshape(2, 2)), 4),
+    (
+        "jensen_gap_check",
+        "energies",
+        lambda a: spin_glass.jensen_gap_check(DISORDER, 1, 1, ENERGIES, a),
+        ENERGIES,
+    ),
 ]
 
 ARRAY_IDS = [entry[0] for entry in ARRAYS]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("entry, name, call, size", ARRAYS, ids=ARRAY_IDS)
-def test_non_finite_array_rejected_at_entry(entry, name, call, size, bad):
-    values = np.arange(1.0, size + 1.0) ** 2 / size
+@pytest.mark.parametrize("entry, name, call, good", ARRAYS, ids=ARRAY_IDS)
+def test_non_finite_array_rejected_at_entry(entry, name, call, good, bad):
+    values = good.copy()
     call(values)
-    values[size // 2] = bad
+    values.flat[values.size // 2] = bad
     with pytest.raises(DomainError, match=f"^{name} must be finite"):
         call(values)
+
+
+BAD_ARRAYS = {
+    "bool": lambda good: good > 0,
+    "complex": lambda good: good + 0j,
+    "str": lambda good: good.astype(str),
+    "object": lambda good: good.astype(object),
+    "none": lambda good: None,
+    "ragged": lambda good: [good.tolist(), 0.0],
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_ARRAYS))
+@pytest.mark.parametrize("entry, name, call, good", ARRAYS, ids=ARRAY_IDS)
+def test_non_real_array_rejected_at_entry(entry, name, call, good, kind):
+    with pytest.raises(DomainError, match=f"^{name} must be finite reals, "):
+        call(BAD_ARRAYS[kind](good))
+
+
+#: ``invert_perturbation`` maps costs of any shape, a scalar too
+SHAPED = [entry for entry in ARRAYS if entry[0] != "invert_perturbation"]
+
+
+@pytest.mark.parametrize(
+    "entry, name, call, good", SHAPED, ids=[entry[0] for entry in SHAPED]
+)
+def test_misshapen_array_rejected_at_entry(entry, name, call, good):
+    with pytest.raises(ShapeError, match=f"^{name} must have shape "):
+        call(good[..., None])
+
+
+@pytest.mark.parametrize("entry, name, call, good", ARRAYS, ids=ARRAY_IDS)
+def test_nested_lists_of_ints_accepted(entry, name, call, good):
+    call(np.rint(good).astype(int).tolist())
 
 
 class TestWhole:
@@ -472,3 +571,84 @@ class TestReal:
     def test_non_reals_rejected(self, value):
         with pytest.raises(DomainError, match="need a real x "):
             real(value, "x")
+
+
+class TestReals:
+    @pytest.mark.parametrize(
+        "value",
+        [[0, 1], [[0.5, 1.0]], np.arange(3), np.float32([0.5]), np.uint8([1]), 0.25],
+        ids=["int list", "nested list", "int array", "float32", "uint8", "scalar"],
+    )
+    def test_returns_a_float64_array(self, value):
+        a = reals(value, "x", None, 0, 2, "[]")
+        assert type(a) is np.ndarray and a.dtype == np.float64
+        assert np.array_equal(a, np.asarray(value, dtype=float))
+
+    def test_float64_array_returned_as_is(self):
+        a = np.array([0.5, 1.5])
+        assert reals(a, "x") is a
+
+    @pytest.mark.parametrize("ends", ["[]", "[)", "(]", "()"])
+    def test_each_end_open_or_closed(self, ends):
+        assert reals([0.5], "x", None, 0, 1, ends).tolist() == [0.5]
+        for value, bracket in ((0, ends[0]), (1, ends[1])):
+            values = [0.5, value, 0.5]
+            if bracket in "[]":
+                assert reals(values, "x", None, 0, 1, ends).tolist() == values
+            else:
+                message = f"x must be finite reals in {ends[0]}0, 1{ends[1]}, "
+                with pytest.raises(DomainError, match=re.escape(message)):
+                    reals(values, "x", None, 0, 1, ends)
+
+    def test_default_is_every_finite_real(self):
+        assert reals([-1e308, 1e308], "x").tolist() == [-1e308, 1e308]
+        for value in (math.inf, -math.inf):
+            with pytest.raises(DomainError, match=r"x must be finite reals in \(-inf"):
+                reals([0.0, value], "x")
+
+    def test_closed_infinite_end_admits_inf(self):
+        assert reals([math.inf], "x", None, 0, math.inf, "[]").tolist() == [math.inf]
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (1, 2), (2, 1)])
+    def test_nan_anywhere_rejected(self, row, col):
+        values = np.zeros((3, 3))
+        values[row, col] = math.nan
+        with pytest.raises(DomainError, match=r"got entries in \[nan, nan\]"):
+            reals(values, "x")
+
+    def test_message_names_argument_interval_and_range(self):
+        message = "alpha must be finite reals in [0, 0.5), got entries in [0.25, 2.5]"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            reals([0.25, 2.5], "alpha", None, 0, 0.5, "[)")
+
+    def test_none_in_shape_admits_any_length(self):
+        assert reals(np.zeros((4, 2)), "x", (None, 2)).shape == (4, 2)
+        assert reals(np.zeros((4, 2)), "x", (None, None)).shape == (4, 2)
+        for shape in [(None, 3), (None,), (None, 2, None), (3, 2)]:
+            with pytest.raises(ShapeError, match=r"^x must have shape .* got \(4, 2\)"):
+                reals(np.zeros((4, 2)), "x", shape)
+
+    @pytest.mark.parametrize("value", [[], np.zeros((0, 2))])
+    def test_empty_array_accepted(self, value):
+        # an empty array has no entry outside any interval
+        a = reals(value, "x", None, 0, 0, "()")
+        assert a.size == 0 and a.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.array([True, False]),
+            [0.5, 0.5j],
+            "0.5",
+            ["0.5"],
+            None,
+            [None],
+            [Fraction(1, 2)],
+            [[0.5], [0.5, 0.5]],
+            [[0.5], 0.5],
+            [10**400],
+        ],
+    )
+    def test_non_reals_rejected(self, value):
+        with pytest.raises(DomainError, match="^x must be finite reals, "):
+            reals(value, "x")

@@ -198,6 +198,14 @@ class TestPassageTime:
         with pytest.raises(DomainError):
             unit_grid(3, 3, source, (2, 2))
 
+    @pytest.mark.parametrize("endpoint", [5, (0, 0, 0), (1,), None])
+    @pytest.mark.parametrize("name", ["source", "target"])
+    def test_endpoints_must_be_pairs(self, name, endpoint):
+        # 5 used to raise TypeError, and (0, 0, 0) ValueError, from unpacking
+        ends = {"source": (0, 0), "target": (2, 2), name: endpoint}
+        with pytest.raises(DomainError, match=rf"^{name} must be an \(x, y\) pair"):
+            unit_grid(3, 3, ends["source"], ends["target"])
+
     def test_numpy_integer_endpoints_accepted(self):
         grid = unit_grid(3, 3, (np.int64(0), np.int64(1)), (2, 2))
         assert grid.source == (0, 1) and type(grid.source[0]) is int
