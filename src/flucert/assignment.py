@@ -41,7 +41,13 @@ class AssignmentResult:
     cost: float
 
     def __post_init__(self):
-        perm = np.asarray(self.permutation, dtype=int)
+        try:
+            perm = np.asarray(self.permutation)
+        except ValueError:  # numpy refuses a ragged nest
+            perm = None
+        if perm is None or perm.dtype.kind not in "iu":
+            raise DomainError("permutation must be integers, not bool, float or ragged")
+        perm = np.asarray(perm, dtype=int)
         if sorted(perm.tolist()) != list(range(perm.size)):
             raise DomainError("permutation must be a bijection")
         object.__setattr__(self, "permutation", perm)

@@ -22,7 +22,6 @@ from .errors import (
     DegenerateRegionError,
     DomainError,
     InternalConsistencyError,
-    ShapeError,
     SizeError,
     real,
     reals,
@@ -66,15 +65,26 @@ class PointSet:
 
 @dataclass(frozen=True)
 class FunctionalValue:
-    """Value of a geometric functional with its optimality witness."""
+    """Value of a geometric functional with the witness it is the length of.
+
+    The witness is optimal when an exact solver returns it; ``scaling_coupling``
+    pairs the base witness with its length on the shrunk points.
+    """
 
     value: float
     witness: object  # tour order, matching pairs, or None
 
 
+def _point_set(ps):
+    """``ps`` if it is a ``PointSet``, else ``DomainError`` naming the argument."""
+    if not isinstance(ps, PointSet):
+        raise DomainError(f"ps must be a PointSet, got {type(ps).__name__}")
+    return ps
+
+
 def _distances(points):
-    """Distance matrices of a (..., n, d) stack of point rows, one per (n, d) slice."""
-    diff = points[..., :, None, :] - points[..., None, :, :]
+    """Distance matrix of (n, d) point rows."""
+    diff = points[:, None, :] - points[None, :, :]
     return np.sqrt(np.square(diff).sum(axis=-1))
 
 
@@ -94,7 +104,8 @@ def _closed_length(pts):
 
 def tour_length(ps, order):
     """Length of the closed tour visiting every point once, in the given order."""
-    return _closed_length(ps.points[_check_cover(order, ps.n, "tour")])
+    order = _check_cover(order, _point_set(ps).n, "tour")
+    return _closed_length(ps.points[order])
 
 
 def _pairs_length(ps, pairs):
@@ -110,7 +121,7 @@ def matching_length(ps, pairs):
         ends = [k for i, j in pairs for k in (i, j)]
     except (TypeError, ValueError):  # an entry that is not a pair
         raise DomainError("a matching is a sequence of index pairs") from None
-    _check_cover(ends, ps.n, "matching")
+    _check_cover(ends, _point_set(ps).n, "matching")
     return _pairs_length(ps, pairs)
 
 
@@ -144,9 +155,8 @@ def _held_karp_layers(m):
     Layer s (s = 2..m) lists every pair (mask, j) with |mask| = s and j in
     mask as three frozen index arrays: the flat slot ``j * 2^m + mask`` of the
     node-major (m, 2^m) table, the predecessor ``mask ^ (1 << j)`` and the end
-    node j.  They depend on m alone, not on how many instances are stacked;
-    the size checks in ``tsp_exact`` bound the cache to TSP_EXACT_MAX - 2
-    entries.
+    node j.  They depend on m alone; the size checks in ``tsp_exact`` bound the
+    cache to TSP_EXACT_MAX - 2 entries.
     """
     masks, popcount, _ = _subsets(m)
     layers = []
@@ -159,76 +169,57 @@ def _held_karp_layers(m):
     return tuple(layers)
 
 
-def _stacked(point_sets, solver):
-    """The points of one or more point sets of one shape, as a (B, n, d) array."""
-    if not point_sets:
-        raise ShapeError(f"{solver} needs at least one point set")
-    shapes = [ps.points.shape for ps in point_sets]
-    if len(set(shapes)) > 1:
-        raise ShapeError(f"{solver} needs point sets of one shape, got {shapes}")
-    return np.stack([ps.points for ps in point_sets])
+def tsp_exact(ps):
+    """Optimal closed tour of a point set by the Held-Karp subset DP.
 
-
-def tsp_exact(*point_sets):
-    """Optimal closed tours of equal-size point sets in one Held-Karp pass.
-
-    dp[k, mask, b] is the shortest path of instance b from node 0 through the
-    nodes of mask (nodes 1..n-1 as bits 0..n-2) that ends at node k.  One
-    vectorized step per popcount layer relaxes every (mask, j) pair of the
-    layer for all instances at once: the candidates dp[., mask minus j, b] +
-    dist[., j, b] are gathered node-major and only their minimum is kept.  The
-    tour, which starts at node 0, is then read back one node at a time from
-    the full mask: each step recomputes, with the same additions, the
-    candidate column of its (mask, j) and takes its ``ndarray.argmin``, the
-    first minimum, so ties go to the smallest predecessor node, as in a loop
-    over the subsets.  One FunctionalValue per point set, in order; each is
-    what the set gives alone.
+    dp[k, mask] is the shortest path from node 0 through the nodes of mask
+    (nodes 1..n-1 as bits 0..n-2) that ends at node k.  One vectorized step
+    per popcount layer relaxes every (mask, j) pair of the layer at once: the
+    candidates dp[., mask minus j] + dist[., j] are gathered node-major and
+    only their minimum is kept.  The tour, which starts at node 0, is then
+    read back one node at a time from the full mask: each step recomputes,
+    with the same additions, the candidate column of its (mask, j) and takes
+    its ``ndarray.argmin``, the first minimum, so ties go to the smallest
+    predecessor node, as in a loop over the subsets.
 
     The index tables of each layer depend only on n; they are built on the
     first call for that n and cached, frozen, for later calls (about 2.6 MiB
     at n = TSP_EXACT_MAX = 15).  The table of partial lengths takes
-    8 (n - 1) 2^(n-1) bytes per instance, 1.75 MiB at n = 15.
+    8 (n - 1) 2^(n-1) bytes, 1.75 MiB at n = 15.
     """
-    points = _stacked(point_sets, "tsp_exact")
-    n = points.shape[1]
+    n = _point_set(ps).n
     if n < 3 or n > TSP_EXACT_MAX:
         raise SizeError(f"tsp_exact supports 3 <= n <= {TSP_EXACT_MAX}, got {n}")
-    # (n, n, B): the instance innermost, so the layer tables serve any B
-    dist = _distances(points).transpose(1, 2, 0)
+    dist = _distances(ps.points)
     m = n - 1  # nodes 1..n-1, anchored at node 0
     sub = np.ascontiguousarray(dist[1:, 1:])
     first_leg = dist[0, 1:]
     full = 1 << m
-    dp = np.empty((m, full, len(point_sets)))
+    dp = np.empty((m, full))
     dp.fill(np.inf)
     nodes = np.arange(m)
     dp[nodes, 1 << nodes] = first_leg
-    flat_dp = dp.reshape(m * full, -1)
+    flat_dp = dp.reshape(-1)
     for slot, prev, end in _held_karp_layers(m):
         cand = dp.take(prev, axis=1)
         cand += sub.take(end, axis=1)
         flat_dp[slot] = np.minimum.reduce(cand, axis=0)
-    closing = dp[:, full - 1] + first_leg
-    results = []
-    for b, ps in enumerate(point_sets):
-        node_dp, node_sub = dp[..., b], sub[..., b]
-        j = int(closing[:, b].argmin())
-        order = [j + 1]
-        mask = full - 1
-        while mask != 1 << j:  # a singleton is the first leg
-            mask ^= 1 << j
-            j = int((node_dp[:, mask] + node_sub[:, j]).argmin())
-            order.append(j + 1)
-        order.append(0)
-        order.reverse()
-        # the witness is a tour by construction, so its length skips the check
-        results.append(FunctionalValue(_closed_length(ps.points[order]), tuple(order)))
-    return results
+    j = int((dp[:, full - 1] + first_leg).argmin())
+    order = [j + 1]
+    mask = full - 1
+    while mask != 1 << j:  # a singleton is the first leg
+        mask ^= 1 << j
+        j = int((dp[:, mask] + sub[:, j]).argmin())
+        order.append(j + 1)
+    order.append(0)
+    order.reverse()
+    # the witness is a tour by construction, so its length skips the check
+    return FunctionalValue(_closed_length(ps.points[order]), tuple(order))
 
 
-@lru_cache(maxsize=MATCHING_MAX)  # keyed by (n, stack height)
-def _matching_layers(n, count):
-    """Index tables of the matching DP over ``count`` stacked n-point instances.
+@lru_cache(maxsize=None)
+def _matching_layers(n):
+    """Index tables of the matching DP over n points, one per popcount 2L.
 
     The DP always pairs the lowest unmatched point, so the only subsets it
     reaches are those whose run of trailing ones t is at least half their
@@ -236,12 +227,11 @@ def _matching_layers(n, count):
     in it.  Layer L lists the reached subsets of size 2L and, per subset, a
     row of candidate (predecessor subset, flat index i * n + j of the pair
     distance) sorted by predecessor.  Candidates whose predecessor is never
-    reached are left out; rows are padded to the layer's widest with a
-    sentinel predecessor.  Instance b's rows follow instance b - 1's, with its
-    subsets offset by b * 2^n and its pair indices by b * n * n; every
-    sentinel is count * 2^n, one shared dp slot that holds +inf.  The raveled
+    reached are left out; rows are padded to the layer's widest with the
+    sentinel predecessor 2^n, whose dp slot holds +inf.  The raveled
     predecessors and the flat start ``row * width`` of each row follow.  The
-    arrays are frozen.
+    arrays are frozen; the size checks in ``matching_exact`` bound the cache
+    to MATCHING_MAX // 2 entries.
     """
     full = 1 << n
     masks, popcount, trailing = _subsets(n)
@@ -249,7 +239,6 @@ def _matching_layers(n, count):
     # increasing predecessor subset
     second, first = (index[::-1] for index in np.tril_indices(n, -1))
     bits = (1 << first) | (1 << second)
-    offset = np.arange(count)[:, None, None]  # instance, row, candidate
     layers = []
     for half in range(1, n // 2 + 1):
         reached = (popcount == 2 * half) & (trailing >= half)
@@ -266,67 +255,54 @@ def _matching_layers(n, count):
         pred[row, at] = new[row] ^ bits[col]
         pair = np.zeros((new.size, width), dtype=int)
         pair[row, at] = first[col] * n + second[col]
-        pred = np.where(pred == full, count * full, pred + offset * full)
-        pred = pred.reshape(-1, width)
-        pair = (pair + offset * (n * n)).reshape(-1, width)
-        new = (new + offset[:, 0] * full).reshape(-1)
-        rows = np.arange(pred.shape[0]) * width
+        rows = np.arange(new.size) * width
         layers.append(_frozen(new, pred, pair, pred.ravel(), rows))
     return tuple(layers)
 
 
-def matching_exact(*point_sets):
-    """Minimum-weight perfect matchings of equal-size point sets in one DP pass.
+def matching_exact(ps):
+    """Minimum-weight perfect matching of a point set by bitmask DP.
 
-    Every step pairs the lowest unmatched point.  The instances' dp tables are
-    stacked end to end, instance b's subsets at b * 2^n, with one shared +inf
-    sentinel slot after them, so that one vectorized step per popcount layer
-    serves them all.  Each step computes dp[subset] as the minimum over its
-    candidate last pairs of dp[predecessor] + dist[i, j], with the candidates
-    ordered by predecessor subset so that ``ndarray.argmin`` keeps the
-    smallest predecessor among equal costs, and records that predecessor;
-    each matching is read back from its instance's full subset.  The value is
-    recomputed from the witness pairs, a perfect matching by construction, as
-    ``matching_length`` would.  One FunctionalValue per point set, in order;
-    each is what the set gives alone.
+    Every step pairs the lowest unmatched point.  One vectorized step per
+    popcount layer computes dp[subset] as the minimum over its candidate last
+    pairs of dp[predecessor] + dist[i, j], with the candidates ordered by
+    predecessor subset so that ``ndarray.argmin`` keeps the smallest
+    predecessor among equal costs, and records that predecessor; the matching
+    is read back from the full subset.  The value is recomputed from the
+    witness pairs, a perfect matching by construction, as ``matching_length``
+    would.
 
-    The index tables depend only on n and the number of point sets; they are
-    built on the first call for that pair and cached, frozen, for later calls
-    (about 0.3 MiB at n = MATCHING_MAX = 16 per point set).
+    The index tables depend only on n; they are built on the first call for
+    that n and cached, frozen, for later calls (about 0.3 MiB at
+    n = MATCHING_MAX = 16).
     """
-    points = _stacked(point_sets, "matching_exact")
-    n = points.shape[1]
+    n = _point_set(ps).n
     if n % 2 != 0 or n < 2 or n > MATCHING_MAX:
         raise SizeError(
             f"matching_exact supports even 2 <= n <= {MATCHING_MAX}, got {n}"
         )
-    count = len(point_sets)
-    pair_dist = _distances(points).reshape(-1)
+    pair_dist = _distances(ps.points).reshape(-1)
     full = 1 << n
-    dp = np.empty(count * full + 1)
-    dp.fill(np.inf)  # the last slot is the padding sentinel
-    dp[: count * full : full] = 0.0  # each instance's empty subset
-    prev = np.zeros(count * full, dtype=np.int64)
-    for new, pred, pair, flat_pred, rows in _matching_layers(n, count):
+    dp = np.empty(full + 1)
+    dp.fill(np.inf)  # slot 2^n is the padding sentinel
+    dp[0] = 0.0
+    prev = np.zeros(full, dtype=np.int64)
+    for new, pred, pair, flat_pred, rows in _matching_layers(n):
         cand = dp[pred]
         cand += pair_dist[pair]
         at = cand.argmin(1) + rows
         dp[new] = cand.ravel()[at]
         prev[new] = flat_pred[at]
-    results = []
-    for b, ps in enumerate(point_sets):
-        pairs = []
-        empty = b * full
-        mask = empty + full - 1
-        while mask != empty:
-            before = int(prev[mask])
-            pair = mask ^ before  # the instance offsets cancel
-            low = pair & -pair
-            pairs.append((low.bit_length() - 1, (pair ^ low).bit_length() - 1))
-            mask = before
-        pairs.reverse()
-        results.append(FunctionalValue(_pairs_length(ps, pairs), tuple(pairs)))
-    return results
+    pairs = []
+    mask = full - 1
+    while mask:
+        before = int(prev[mask])
+        pair = mask ^ before
+        low = pair & -pair
+        pairs.append((low.bit_length() - 1, (pair ^ low).bit_length() - 1))
+        mask = before
+    pairs.reverse()
+    return FunctionalValue(_pairs_length(ps, pairs), tuple(pairs))
 
 
 def nn_sum(ps):
@@ -342,7 +318,7 @@ def nn_sum(ps):
     """
     from scipy.spatial import cKDTree
 
-    if ps.n < 2:
+    if _point_set(ps).n < 2:
         raise SizeError(f"nn_sum needs n >= 2, got {ps.n}")
     dist = cKDTree(ps.points).query(ps.points, k=2)[0]
     return FunctionalValue(float(dist[:, 1].sum()), None)
@@ -351,33 +327,40 @@ def nn_sum(ps):
 def scaling_coupling(ps, alpha, r, kind, density):
     """Global scaling coupling: every coordinate shrinks by 1/(1 + eps).
 
-    Returns (base value, scaled value, tv_bound).  The scaled value is
-    computed both from the homogeneity identity value / (1+eps)^r and by
-    re-evaluating the functional on the scaled points; disagreement beyond
-    1e-9 max(1, |value / (1+eps)^r|), relative above 1 and absolute below,
-    means the functional is not homogeneous of degree r.  ``tsp_exact`` and
-    ``matching_exact`` evaluate both point sets in one stacked pass, each
-    value and witness the same as the set gives alone; ``nn_sum`` is called
-    once per set.  Each value is the length of its own witness on its own
-    point set, so the check still compares two separate evaluations.  The TV
-    bound depends only on (eps, rho, number of coordinates), so it is built
-    once per such triple and kept in a 64-entry cache; the affinity rho is
-    looked up on every call.
+    Returns (base value, scaled value, tv_bound), with eps = alpha / sqrt(n).
+    For ``tsp-exact`` and ``matching-exact`` the points are solved once: the
+    scaled value is the length of the base witness on the shrunk points.  The
+    certificate stays rigorous.  Write L'(s) for the length of witness s on
+    the shrunk points, X for the base optimum and Y = min_s L'(s) for the
+    shrunk one.  Then Y' = L'(s_X) >= Y, so the certified gap X - Y' is at
+    most |X - Y|, and {X - Y' <= delta} contains {|X - Y| <= delta}: the
+    closeness indicator can only be conservative.  In exact arithmetic every
+    tour and matching scales by 1/(1 + eps), so s_X is optimal on the shrunk
+    points and Y' = Y.  ``nn_sum`` has no witness and is called once per set.
+
+    The scaled value must agree with the homogeneity identity
+    value / (1+eps)^r to 1e-9 max(1, |value / (1+eps)^r|), relative above 1
+    and absolute below; disagreement means the functional is not homogeneous
+    of degree r.  The TV bound depends only on (eps, rho, number of
+    coordinates), so it is built once per such triple and kept in a 64-entry
+    cache; the affinity rho is looked up on every call.
     """
     if kind not in ("tsp-exact", "matching-exact", "nn-sum"):
         raise DomainError(f"unknown functional kind {kind!r}")
     if not isinstance(density, Density1D):
         raise DomainError(f"density must be a Density1D, got {density!r}")
-    n = ps.n
+    n = _point_set(ps).n
     if n < 2:
         raise SizeError(f"scaling_coupling needs n >= 2 points, got {n}")
     r = real(r, "degree r", 0)
     eps = real(real(alpha, "alpha") / math.sqrt(n), "alpha / sqrt(n)", 0, 0.5, "[)")
     shrunk = ps.scaled(1.0 / (1.0 + eps))
     if kind == "tsp-exact":
-        base, rescaled = tsp_exact(ps, shrunk)
+        base = tsp_exact(ps)
+        rescaled = FunctionalValue(tour_length(shrunk, base.witness), base.witness)
     elif kind == "matching-exact":
-        base, rescaled = matching_exact(ps, shrunk)
+        base = matching_exact(ps)
+        rescaled = FunctionalValue(matching_length(shrunk, base.witness), base.witness)
     else:
         base, rescaled = nn_sum(ps), nn_sum(shrunk)
     identity_value = base.value / (1.0 + eps) ** r
@@ -385,7 +368,7 @@ def scaling_coupling(ps, alpha, r, kind, density):
     if not abs(rescaled.value - identity_value) <= tol:  # NaN fails it too
         raise InternalConsistencyError(
             f"{kind} is not homogeneous of degree {r}: identity gives "
-            f"{identity_value!r}, re-evaluation gives {rescaled.value!r}"
+            f"{identity_value!r}, the shrunk points give {rescaled.value!r}"
         )
     rho = scaled_affinity(density, eps).rho
     return base, rescaled, _scale_tv(eps, rho, n * ps.dim)

@@ -70,6 +70,32 @@ class TestHungarian:
         with pytest.raises(DomainError):
             AssignmentResult(permutation=[0, 0, 2], cost=1.0)
 
+    @pytest.mark.parametrize(
+        "perm",
+        [
+            # [0.5, 1.2] used to be truncated to the bijection [0, 1]
+            [0.5, 1.2],
+            [0.0, 1.0],
+            np.array([1.0, 0.0]),
+            [True, False],
+            # numpy used to raise its own ValueError on a ragged nest
+            [[0], [1, 2]],
+            ["0", "1"],
+            None,
+        ],
+    )
+    def test_permutation_must_be_integers(self, perm):
+        with pytest.raises(DomainError, match="^permutation must be integers"):
+            AssignmentResult(permutation=perm, cost=1.0)
+
+    @pytest.mark.parametrize(
+        "perm", [[1, 0, 2], np.array([2, 0, 1], dtype=np.uint8), (0,)]
+    )
+    def test_integer_permutations_accepted(self, perm):
+        result = AssignmentResult(permutation=perm, cost=1.0)
+        assert result.permutation.tolist() == list(perm)
+        assert result.permutation.dtype == int
+
     def test_non_square_costs_rejected(self):
         with pytest.raises(ShapeError):
             CostMatrix(3, np.ones((3, 4)))

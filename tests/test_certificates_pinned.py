@@ -5,7 +5,8 @@ runs one untimed certificate pass of each and compares every certificate
 record with ``data/certificates_tiny.json``.  Strings and ints must be equal;
 floats must agree to a relative 1e-12, which leaves room for an ulp of
 difference in SciPy's ``ndtri`` or the C math library between versions and no
-more.
+more.  One checked pass of ``enum-exact`` at full scale, seeds 1-3, must
+raise no failure and fail no oracle check.
 
 To rewrite the stored values (only where a certificate is meant to change):
 
@@ -76,6 +77,17 @@ def test_certificates_match_pinned(computed):
         assert set(got) == set(want), where
         for key, value in want.items():
             assert _same(got[key], value), (where, key, got[key], value)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_full_scale_enum_exact_passes_its_checks(seed):
+    # tiny scale stops at n = 6; full scale solves TSP at n = 10 and matching
+    # at n = 12, where the benchmark checks each witness length with ==
+    workload = workloads.build("enum-exact", seed)
+    result = harness.run_pass(workload, tracer.NullTracer(), check=True)
+    assert not result.failures, result.failures
+    assert result.checks
+    assert [c for c in result.checks if not c[3]] == []
 
 
 if __name__ == "__main__":

@@ -13,7 +13,10 @@ A third table lists the entry points that take a float array, with an array
 each accepts.  Each must reject one NaN or infinite entry, and a bool,
 complex, str, object, None or ragged input, with a ``DomainError`` that names
 the argument; reject an array with an extra axis with a ``ShapeError`` that
-names it; and accept nested lists of ints.
+names it; and accept nested lists of ints.  A fourth table lists the entry
+points that take a ``PointSet``; each must reject anything else, a nested
+list or a bare array included, with a ``DomainError`` that names the
+argument.
 """
 
 import math
@@ -497,6 +500,43 @@ def test_misshapen_array_rejected_at_entry(entry, name, call, good):
 @pytest.mark.parametrize("entry, name, call, good", ARRAYS, ids=ARRAY_IDS)
 def test_nested_lists_of_ints_accepted(entry, name, call, good):
     call(np.rint(good).astype(int).tolist())
+
+
+SIX_POINTS = euclidean.PointSet(2, POINTS.points[:6])
+
+# (id, call of the point set) for every entry point that takes a PointSet
+POINT_SET_ENTRIES = [
+    ("tsp_exact", euclidean.tsp_exact),
+    ("matching_exact", euclidean.matching_exact),
+    ("nn_sum", euclidean.nn_sum),
+    ("tour_length", lambda ps: euclidean.tour_length(ps, range(6))),
+    (
+        "matching_length",
+        lambda ps: euclidean.matching_length(ps, [(0, 1), (2, 3), (4, 5)]),
+    ),
+    (
+        "scaling_coupling",
+        lambda ps: euclidean.scaling_coupling(ps, 1.0, 1, "tsp-exact", GAUSS),
+    ),
+]
+
+NOT_POINT_SETS = {
+    # a nested list used to fail with AttributeError on .points or .n
+    "nested list": SIX_POINTS.points.tolist(),
+    "array": SIX_POINTS.points,
+    "none": None,
+    "points tuple": (2, SIX_POINTS.points),
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_POINT_SETS))
+@pytest.mark.parametrize(
+    "entry, call", POINT_SET_ENTRIES, ids=[entry[0] for entry in POINT_SET_ENTRIES]
+)
+def test_non_point_set_rejected_at_entry(entry, call, kind):
+    call(SIX_POINTS)
+    with pytest.raises(DomainError, match="^ps must be a PointSet, got "):
+        call(NOT_POINT_SETS[kind])
 
 
 class TestWhole:

@@ -125,21 +125,21 @@ class TestPointSet:
 class TestTspExact:
     def test_right_triangle(self):
         ps = PointSet(2, [[0, 0], [1, 0], [0, 1]])
-        [res] = tsp_exact(ps)
+        res = tsp_exact(ps)
         assert res.value == pytest.approx(2 + math.sqrt(2), abs=1e-12)
 
     def test_unit_square(self):
-        assert tsp_exact(PointSet(2, UNIT_SQUARE))[0].value == pytest.approx(4.0)
+        assert tsp_exact(PointSet(2, UNIT_SQUARE)).value == pytest.approx(4.0)
 
     def test_matches_brute_force(self):
         for seed in range(10):
             ps = random_points(7, 100 + seed)
-            [res] = tsp_exact(ps)
+            res = tsp_exact(ps)
             assert res.value == pytest.approx(brute_force_tour(ps), abs=1e-10)
 
     def test_witness_recomputes(self):
         ps = random_points(9, 3)
-        [res] = tsp_exact(ps)
+        res = tsp_exact(ps)
         assert tour_length(ps, res.witness) == res.value
 
     def test_size_caps(self):
@@ -152,7 +152,7 @@ class TestTspExact:
     def test_matches_held_karp_loop(self, n):
         for seed in range(3):
             ps = random_points(n, 700 + 10 * n + seed)
-            [res] = tsp_exact(ps)
+            res = tsp_exact(ps)
             assert (res.value, res.witness) == held_karp_loop(ps)
 
     def test_matches_held_karp_loop_on_ties(self):
@@ -160,12 +160,12 @@ class TestTspExact:
         for side in (2, 3):
             grid = np.indices((side, side + 1)).reshape(2, -1).T.astype(float)
             ps = PointSet(2, grid)
-            [res] = tsp_exact(ps)
+            res = tsp_exact(ps)
             assert (res.value, res.witness) == held_karp_loop(ps)
 
     def test_matches_held_karp_loop_at_cap(self):
         ps = random_points(TSP_EXACT_MAX, 799)
-        [res] = tsp_exact(ps)
+        res = tsp_exact(ps)
         assert (res.value, res.witness) == held_karp_loop(ps)
 
 
@@ -181,25 +181,10 @@ def random_box(side, seed):
     )
 
 
-def tsp_pair(ps):
-    return scaling_coupling(ps, 0.5, 1, "tsp-exact", GAUSS)
-
-
-def matching_pair(ps):
-    return scaling_coupling(ps, 0.5, 1, "matching-exact", GAUSS)
-
-
-def matching_triple(ps):
-    return matching_exact(ps, ps.scaled(0.5), ps.scaled(2.0))
-
-
 #: the instance each cached table's solver takes, by size and seed
 INSTANCES = {
     tsp_exact: random_points,
-    tsp_pair: random_points,
     matching_exact: random_points,
-    matching_pair: random_points,
-    matching_triple: random_points,
     spin_glass.enumerate_energies: random_disorder,
     fpp.passage_time: random_box,
 }
@@ -216,29 +201,7 @@ def leaves(tables):
     "solver, layers, n, key",
     [
         (tsp_exact, _held_karp_layers, 9, 8),
-        # the stacked pair reads the same tables as one instance
-        (tsp_pair, _held_karp_layers, 9, 8),
-        pytest.param(
-            matching_exact,
-            lambda n: _matching_layers(n, 1),
-            10,
-            10,
-            id="matching_exact-_matching_layers-10-10",
-        ),
-        pytest.param(
-            matching_pair,
-            lambda n: _matching_layers(n, 2),
-            10,
-            10,
-            id="matching_pair-_matching_layers-10-10x2",
-        ),
-        pytest.param(
-            matching_triple,
-            lambda n: _matching_layers(n, 3),
-            10,
-            10,
-            id="matching_triple-_matching_layers-10-10x3",
-        ),
+        (matching_exact, _matching_layers, 10, 10),
         (spin_glass.enumerate_energies, spin_glass._spin_table, 11, 5),
         (spin_glass.enumerate_energies, spin_glass._spin_table, 11, 6),
         (spin_glass.enumerate_energies, spin_glass._upper_triangle, 11, 11),
@@ -306,15 +269,15 @@ class TestDistanceMatrix:
 class TestMatching:
     def test_two_points(self):
         ps = PointSet(2, [[0, 0], [3, 4]])
-        assert matching_exact(ps)[0].value == pytest.approx(5.0)
+        assert matching_exact(ps).value == pytest.approx(5.0)
 
     def test_unit_square(self):
-        assert matching_exact(PointSet(2, UNIT_SQUARE))[0].value == pytest.approx(2.0)
+        assert matching_exact(PointSet(2, UNIT_SQUARE)).value == pytest.approx(2.0)
 
     def test_matches_enumeration(self):
         for seed in range(10):
             ps = random_points(8, 200 + seed)
-            [res] = matching_exact(ps)
+            res = matching_exact(ps)
             assert res.value == pytest.approx(brute_force_matching(ps), abs=1e-10)
             assert matching_length(ps, res.witness) == res.value
 
@@ -326,7 +289,7 @@ class TestMatching:
     def test_matches_matching_loop(self, n):
         for seed in range(4):
             ps = random_points(n, 1700 + 10 * n + seed)
-            [res] = matching_exact(ps)
+            res = matching_exact(ps)
             assert (res.value, res.witness) == matching_loop(ps)
 
     def test_matches_matching_loop_on_ties(self):
@@ -334,12 +297,12 @@ class TestMatching:
         for width in (4, 6):
             grid = np.indices((2, width)).reshape(2, -1).T.astype(float)
             ps = PointSet(2, grid)
-            [res] = matching_exact(ps)
+            res = matching_exact(ps)
             assert (res.value, res.witness) == matching_loop(ps)
 
     def test_matches_matching_loop_at_cap(self):
         ps = random_points(MATCHING_MAX, 1799)
-        [res] = matching_exact(ps)
+        res = matching_exact(ps)
         assert (res.value, res.witness) == matching_loop(ps)
 
 
@@ -438,27 +401,22 @@ class TestStructuralBounds:
     def test_tour_dominates_nn_sum(self):
         for seed in range(20):
             ps = random_points(9, 300 + seed)
-            assert tsp_exact(ps)[0].value >= nn_sum(ps).value - 1e-9
+            assert tsp_exact(ps).value >= nn_sum(ps).value - 1e-9
 
     def test_matching_dominates_half_nn_sum(self):
         for seed in range(20):
             ps = random_points(10, 400 + seed)
-            assert matching_exact(ps)[0].value >= 0.5 * nn_sum(ps).value - 1e-9
+            assert matching_exact(ps).value >= 0.5 * nn_sum(ps).value - 1e-9
 
 
-#: one functional value of one point set, by kind
-SOLVE_ONE = {
-    "tsp-exact": lambda ps: tsp_exact(ps)[0],
-    "matching-exact": lambda ps: matching_exact(ps)[0],
-    "nn-sum": nn_sum,
-}
+SOLVERS = {"tsp-exact": tsp_exact, "matching-exact": matching_exact, "nn-sum": nn_sum}
 
 
 class TestHomogeneity:
     @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact", "nn-sum"])
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.7])
     def test_scaling_identity(self, kind, lam):
-        solve = SOLVE_ONE[kind]
+        solve = SOLVERS[kind]
         for seed in range(10):
             ps = random_points(8, 600 + seed)
             base = solve(ps).value
@@ -550,27 +508,31 @@ class TestScalingCoupling:
         with pytest.raises(InternalConsistencyError):
             scaling_coupling(random_points(8, 27), 0.5, 1, "nn-sum", f)
 
-    @pytest.mark.parametrize("solver", ["tsp_exact", "matching_exact"])
+    @pytest.mark.parametrize(
+        "kind, length",
+        [("tsp-exact", "tour_length"), ("matching-exact", "matching_length")],
+        ids=["tsp_exact", "matching_exact"],
+    )
     @pytest.mark.parametrize("corrupt", [math.nan, 1e-7], ids=["nan", "rel1e-7"])
-    def test_corrupt_rescaled_stacked_result_detected(self, monkeypatch, solver, corrupt):
-        # the homogeneity check must stay independent of the stacked pass that
-        # solves both instances
-        solve = getattr(euclidean, solver)
+    def test_corrupt_rescaled_stacked_result_detected(
+        self, monkeypatch, kind, length, corrupt
+    ):
+        # the homogeneity check must stay independent of the witness length
+        # that gives the rescaled value
+        measure = getattr(euclidean, length)
 
-        def corrupt_rescaled(*point_sets):
-            base, rescaled = solve(*point_sets)
-            value = math.nan if math.isnan(corrupt) else rescaled.value * (1 + corrupt)
-            return base, FunctionalValue(value, rescaled.witness)
+        def corrupt_length(ps, witness):
+            value = measure(ps, witness)
+            return math.nan if math.isnan(corrupt) else value * (1 + corrupt)
 
-        monkeypatch.setattr(euclidean, solver, corrupt_rescaled)
-        kind = STACKED_KINDS[solver]
+        monkeypatch.setattr(euclidean, length, corrupt_length)
         with pytest.raises(InternalConsistencyError, match=f"^{kind} is not homogeneous"):
             scaling_coupling(random_points(8, 28), 0.5, 1, kind, GAUSS)
 
     @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact", "nn-sum"])
     def test_solvers_called_through_module_names(self, monkeypatch, kind):
         # a tracer counts calls by rebinding these names: the exact solver
-        # must see both point sets in one call, and nn_sum one call per set
+        # must solve the base points once, and nn_sum once per point set
         calls = {name: [] for name in ("tsp_exact", "matching_exact", "nn_sum")}
         for name, log in calls.items():
             solve = getattr(euclidean, name)
@@ -587,37 +549,52 @@ class TestScalingCoupling:
         assert {name: len(log) for name, log in calls.items()} == {
             name: want if name == solver else 0 for name in calls
         }
-        [base, shrunk] = [s for args in calls[solver] for s in args]
+        [(base,), *rest] = calls[solver]
         assert base is ps
-        np.testing.assert_array_equal(
-            shrunk.points, ps.scaled(1.0 / (1.0 + 0.5 / math.sqrt(8))).points
-        )
+        if rest:  # nn_sum's second call takes the shrunk copy
+            [(shrunk,)] = rest
+            np.testing.assert_array_equal(
+                shrunk.points, ps.scaled(1.0 / (1.0 + 0.5 / math.sqrt(8))).points
+            )
 
 
 def unreachable(*args):
     raise AssertionError("reached past the entry checks")
 
 
-STACKED_KINDS = {"tsp_exact": "tsp-exact", "matching_exact": "matching-exact"}
 LOOPS = {"tsp-exact": held_karp_loop, "matching-exact": matching_loop}
+LENGTHS = {"tsp-exact": tour_length, "matching-exact": matching_length}
 PAIR_SIZES = [("tsp-exact", n) for n in range(3, TSP_EXACT_MAX + 1)] + [
     ("matching-exact", n) for n in range(2, MATCHING_MAX + 1, 2)
 ]
+
+#: the sizes of each solver's loop-oracle test, several seeds apiece
+GAP_MAX_N = {"tsp-exact": 11, "matching-exact": 12}
+GAP_SIZES = [(kind, n) for kind, n in PAIR_SIZES if n <= GAP_MAX_N[kind]]
 
 
 def lattice(rows, cols):
     return PointSet(2, np.indices((rows, cols)).reshape(2, -1).T.astype(float))
 
 
+def shrink(ps, alpha):
+    return ps.scaled(1.0 / (1.0 + alpha / math.sqrt(ps.n)))
+
+
 class TestStackedPair:
-    """``scaling_coupling`` solves a point set and its rescaled copy in one
-    stacked pass; each must equal the loop oracle on that set alone."""
+    """``scaling_coupling`` solves a point set once and takes the rescaled
+    value as the length of the same witness on the shrunk copy; the loop
+    oracles solve each set alone."""
 
     def check_pair(self, kind, ps, alpha=0.5):
         base, rescaled, _ = scaling_coupling(ps, alpha, 1, kind, GAUSS)
-        shrunk = ps.scaled(1.0 / (1.0 + alpha / math.sqrt(ps.n)))
+        shrunk = shrink(ps, alpha)
         assert (base.value, base.witness) == LOOPS[kind](ps)
-        assert (rescaled.value, rescaled.witness) == LOOPS[kind](shrunk)
+        assert rescaled.witness == base.witness
+        assert rescaled.value == LENGTHS[kind](shrunk, base.witness)
+        # the oracle's own witness on the shrunk copy may differ in a tie
+        # broken by an ulp, so only its value is compared
+        assert rescaled.value == pytest.approx(LOOPS[kind](shrunk)[0], rel=1e-12)
 
     @pytest.mark.parametrize("kind, n", PAIR_SIZES)
     def test_pair_matches_loops(self, kind, n):
@@ -636,55 +613,15 @@ class TestStackedPair:
     def test_pair_matches_loops_on_ties(self, kind, rows, cols):
         self.check_pair(kind, lattice(rows, cols))
 
-    @pytest.mark.parametrize(
-        "solve, n",
-        [(tsp_exact, 3), (tsp_exact, 9), (matching_exact, 2), (matching_exact, 10)],
-    )
-    def test_one_instance_is_its_entry_of_a_stack(self, solve, n):
-        # unrelated instances, in both orders: nothing leaks between them
-        first, second = random_points(n, 2100 + n), random_points(n, 2200 + n)
-        alone = [solve(first)[0], solve(second)[0]]
-        assert solve(first, second) == alone
-        assert solve(second, first) == alone[::-1]
-
-    @pytest.mark.parametrize(
-        "solve, n",
-        [(tsp_exact, 3), (tsp_exact, 10), (matching_exact, 2), (matching_exact, 12)],
-    )
-    def test_three_instances_are_their_entries_of_a_stack(self, solve, n):
-        a, b, c = (random_points(n, 2300 + 100 * k + n) for k in range(3))
-        alone = [solve(a)[0], solve(b)[0], solve(c)[0]]
-        assert solve(a, b, c) == alone
-        assert solve(c, a, b) == [alone[2], alone[0], alone[1]]
-        # a lattice and its copies: ties broken the same at every height
-        grid = lattice(2, n // 2) if n % 2 == 0 else lattice(1, n)
-        assert solve(grid, grid, grid) == solve(grid) * 3
-
-
-class TestStackedEntry:
-    """``tsp_exact`` and ``matching_exact`` take one or more point sets of one
-    shape, and reject anything else with ``ShapeError`` before solving."""
-
-    @pytest.mark.parametrize("solve", [tsp_exact, matching_exact])
-    def test_no_point_set_rejected(self, solve):
-        with pytest.raises(ShapeError, match="at least one point set"):
-            solve()
-
-    @pytest.mark.parametrize("solve", [tsp_exact, matching_exact])
-    def test_unequal_sizes_rejected(self, solve):
-        # the odd and out-of-range sizes too: the shape is checked first
-        for sizes in [(4, 6), (6, 4), (4, 4, 8), (4, 3), (4, 40)]:
-            sets = [random_points(n, 2400 + n) for n in sizes]
-            with pytest.raises(ShapeError, match="one shape"):
-                solve(*sets)
-
-    @pytest.mark.parametrize("solve", [tsp_exact, matching_exact])
-    def test_unequal_dimensions_rejected(self, solve):
-        flat = random_points(4, 2500)
-        deep = PointSet(3, seed_stream(2501).standard_normal((4, 3)))
-        for sets in [(flat, deep), (deep, flat), (flat, flat, deep)]:
-            with pytest.raises(ShapeError, match="one shape"):
-                solve(*sets)
+    @pytest.mark.parametrize("kind, n", GAP_SIZES)
+    def test_certified_gap_below_true_gap(self, kind, n):
+        # Y' = L'(witness of X) >= Y, so the certified gap X - Y' is at most
+        # the true gap X - Y, up to rounding
+        for seed in range(4):
+            ps = random_points(n, 2600 + 10 * n + seed)
+            base, rescaled, _ = scaling_coupling(ps, 0.5, 1, kind, GAUSS)
+            x, y = base.value, LOOPS[kind](shrink(ps, 0.5))[0]
+            assert x - rescaled.value <= x - y + 1e-12 * x
 
 
 class TestRheeCoupling:
