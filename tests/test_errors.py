@@ -13,10 +13,11 @@ A third table lists the entry points that take a float array, with an array
 each accepts.  Each must reject one NaN or infinite entry, and a bool,
 complex, str, object, None or ragged input, with a ``DomainError`` that names
 the argument; reject an array with an extra axis with a ``ShapeError`` that
-names it; and accept nested lists of ints.  A fourth table lists the entry
-points that take a ``PointSet``; each must reject anything else, a nested
-list or a bare array included, with a ``DomainError`` that names the
-argument.
+names it; and accept nested lists of ints.  Covariance inputs whose squares
+overflow are rejected the same way, before any product warns.  A fourth
+table lists the entry points that take a ``PointSet``; each must reject
+anything else, a nested list or a bare array included, with a
+``DomainError`` that names the argument.
 """
 
 import math
@@ -466,6 +467,31 @@ def test_non_finite_array_rejected_at_entry(entry, name, call, good, bad):
     values.flat[values.size // 2] = bad
     with pytest.raises(DomainError, match=f"^{name} must be finite"):
         call(values)
+
+
+# (id, call of the covariance inputs) for every path into the covariance product
+COVARIANCE_PATHS = [
+    ("build", lambda a: random_matrix.build(COVARIANCE, a)),
+    (
+        "log_abs_det of build",
+        lambda a: random_matrix.log_abs_det(random_matrix.build(COVARIANCE, a)),
+    ),
+    (
+        "scaling_shift_check",
+        lambda a: random_matrix.scaling_shift_check(COVARIANCE, a, 1.0),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, call", COVARIANCE_PATHS, ids=[entry[0] for entry in COVARIANCE_PATHS]
+)
+def test_overflowing_covariance_rejected_at_entry(entry, call):
+    # finite inputs of 1e160 overflow the product; the error must name them,
+    # not the "matrix" one call deeper, and come before any numpy warning
+    call(1e150 * COVARIANCE_INPUTS)
+    with pytest.raises(DomainError, match="^inputs.* overflow; rescale the inputs$"):
+        call(1e160 * COVARIANCE_INPUTS)
 
 
 BAD_ARRAYS = {
