@@ -16,20 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import AffinityResult
-from .errors import DomainError, real, reals, whole
+from .densities import AffinityResult, checked_density
+from .errors import SAFE_SUM, DomainError, real, reals, whole
 
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Square matrix of nonnegative assignment costs."""
+    """Square matrix of assignment costs, each in [0, SAFE_SUM / (4 n)]."""
 
     n: int
     entries: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "n", whole(self.n, "n"))
-        a = reals(self.entries, "costs", (self.n, self.n), 0, math.inf, "[)")
+        # each of hungarian's n rounds moves a dual potential by at most one
+        # cost, so no potential, reduced cost or path tops (2n + 2) costs
+        bound = SAFE_SUM / (4 * self.n)
+        a = reals(self.entries, "costs", (self.n, self.n), 0, bound, "[]")
         object.__setattr__(self, "entries", a)
 
 
@@ -90,7 +93,7 @@ def perturb_costs(cm, alpha):
 
 
 def _check_exponential(f):
-    if f.name != "exponential-rate-1":
+    if checked_density(f).name != "exponential-rate-1":
         raise DomainError(f"need the rate-1 exponential cost law, got {f.name!r}")
 
 

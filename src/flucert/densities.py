@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, real, whole
+from .errors import ConfigError, DomainError, real, whole
 from .rng import uniform_open
 
 
@@ -67,9 +67,16 @@ def standard_density(name):
         ) from None
 
 
+def checked_density(f, name="f"):
+    """``f`` if it is a ``Density1D``, else ``DomainError`` naming the argument."""
+    if not isinstance(f, Density1D):
+        raise DomainError(f"{name} must be a Density1D, got {f!r}")
+    return f
+
+
 def sample_iid(f, n, rng):
     """n independent draws from f; draw i depends only on the stream key and i."""
-    return f.ppf(uniform_open(rng, whole(n, "n")))
+    return checked_density(f).ppf(uniform_open(rng, whole(n, "n")))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: a bool key is not the int 0 or 1
@@ -78,10 +85,11 @@ def scaled_affinity(f, eps):
 
     With s = 1 + eps it is rho = sqrt(s) (2 / (1 + s^p))^(1/p), which is
     1 - O(eps^2).  It is evaluated in logs, from log1p(eps) and
-    expm1(p log1p(eps)) = s^p - 1, so rho comes out within an ulp.
+    expm1(p log1p(eps)) = s^p - 1, so rho comes out within an ulp.  The cache
+    hashes the arguments first: an unhashable one raises its ``TypeError``.
     """
+    p = checked_density(f).exponent
     eps = real(eps, "eps", -0.5, 0.5)
-    p = f.exponent
     log_s = math.log1p(eps)
     rho = math.exp(0.5 * log_s - math.log1p(0.5 * math.expm1(p * log_s)) / p)
     return AffinityResult(min(rho, 1.0), 0.0)

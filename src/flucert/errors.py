@@ -11,13 +11,19 @@ else, and a number outside the interval the argument allows, raises
 ``DomainError`` naming the argument and the interval (a misshapen array
 raises ``ShapeError``), so no argument is truncated or coerced and none
 fails deeper in.
+The interval of ``reals`` carries each array's overflow bound, worked out from
+its shape (and beta, for energies) so that no sum downstream tops ``SAFE_SUM``.
 """
 
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
+
+#: the largest sum an entry check admits; the factor 2 leaves room for rounding
+SAFE_SUM = sys.float_info.max / 2
 
 
 class CertToolError(Exception):
@@ -38,10 +44,6 @@ class SizeError(ConfigError):
 
 class ShapeError(CertToolError, ValueError):
     """Array argument has the wrong shape."""
-
-
-class NumericError(CertToolError):
-    """A numerical result overflowed or lost its accuracy."""
 
 
 class RankError(CertToolError):

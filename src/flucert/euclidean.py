@@ -17,8 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import PerturbationPlan, product_tv_bound
-from .densities import Density1D, scaled_affinity
+from .densities import checked_density, scaled_affinity
 from .errors import (
+    SAFE_SUM,
     DegenerateRegionError,
     DomainError,
     InternalConsistencyError,
@@ -35,24 +36,17 @@ MAX_REJECTION = 10**6  # candidates one Rhee resampling draw may use
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite set of points in R^d, one row per point."""
+    """A finite set of points in R^d, one row per point, with every coordinate
+    in [-b, b], b = sqrt(SAFE_SUM / dim) / 2, so that no distance overflows."""
 
     dim: int
     points: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "dim", whole(self.dim, "dim"))
-        pts = reals(self.points, "points", (None, self.dim))
-        if pts.shape[0]:
-            # bounds every squared distance between two points
-            spread = sum(
-                (hi - lo) * (hi - lo)
-                for hi, lo in zip(pts.max(axis=0).tolist(), pts.min(axis=0).tolist())
-            )
-            if not math.isfinite(spread):
-                raise DomainError(
-                    "squared coordinate differences overflow; rescale the points"
-                )
+        # coordinates differ by at most 2 b, so dim squares sum to <= SAFE_SUM
+        bound = 0.5 * math.sqrt(SAFE_SUM / self.dim)
+        pts = reals(self.points, "points", (None, self.dim), -bound, bound, "[]")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -347,8 +341,7 @@ def scaling_coupling(ps, alpha, r, kind, density):
     """
     if kind not in ("tsp-exact", "matching-exact", "nn-sum"):
         raise DomainError(f"unknown functional kind {kind!r}")
-    if not isinstance(density, Density1D):
-        raise DomainError(f"density must be a Density1D, got {density!r}")
+    checked_density(density, "density")
     n = _point_set(ps).n
     if n < 2:
         raise SizeError(f"scaling_coupling needs n >= 2 points, got {n}")

@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import PerturbationPlan, product_tv_bound
-from .densities import scaled_affinity
-from .errors import ConfigError, DomainError, NumericError, ShapeError
+from .densities import checked_density, scaled_affinity
+from .errors import SAFE_SUM, ConfigError, DomainError, ShapeError
 from .errors import real, reals, whole
 
 
@@ -32,7 +32,7 @@ class FppGrid:
 
     ``h_weights[x, y]`` is the weight of edge (x, y)-(x+1, y), shape
     (width-1, height); ``v_weights[x, y]`` of (x, y)-(x, y+1), shape
-    (width, height-1).
+    (width, height-1).  Every weight lies in (0, SAFE_SUM / edges].
     """
 
     width: int
@@ -46,8 +46,11 @@ class FppGrid:
         for side in ("width", "height"):
             object.__setattr__(self, side, whole(getattr(self, side), side, 2))
         w, h = self.width, self.height
+        # Dijkstra sums a shortest path, at most w h - 1 edges, and one more
+        # edge; w h <= edges in a box of sides >= 2, so every sum is finite
+        bound = SAFE_SUM / ((w - 1) * h + w * (h - 1))
         for name, shape in (("h_weights", (w - 1, h)), ("v_weights", (w, h - 1))):
-            weights = reals(getattr(self, name), name, shape, 0, math.inf)
+            weights = reals(getattr(self, name), name, shape, 0, bound, "(]")
             object.__setattr__(self, name, weights)
         for name in ("source", "target"):
             try:
@@ -123,8 +126,9 @@ def passage_time(grid):
     ``scipy.sparse.csgraph.dijkstra``, directed, on the cached ``_box_graph``
     with the grid's weights as data: each distance is the minimum over
     neighbours u of dist[u] + w whatever the order of relaxation, and at a tie
-    any tied path is a valid witness.  A step from vertex id lo to lo + height
-    is edge lo; from lo to lo + 1, edge (width-1) * height + lo - lo // height.
+    any tied path is a valid witness; by the bound on the weights every
+    distance is finite.  A step from vertex id lo to lo + height is edge lo;
+    from lo to lo + 1, edge (width-1) * height + lo - lo // height.
     ``scipy.sparse`` and its ``csgraph`` are imported on the first call, so
     importing this module does not load them.
     """
@@ -137,9 +141,6 @@ def passage_time(grid):
     graph = csr_matrix((weights[slot_edge], indices, indptr), shape=(w * h, w * h))
     src, tgt = (x * h + y for x, y in (grid.source, grid.target))
     dist, pred = dijkstra(graph, directed=True, indices=src, return_predecessors=True)
-    if not np.isfinite(dist[tgt]):
-        raise NumericError("the passage time overflows to inf")
-
     backward = [tgt]
     while backward[-1] != src:
         backward.append(int(pred[backward[-1]]))
@@ -203,6 +204,7 @@ def schedule_tv_bound(sched, density):
     distinct value and the inverse index of ``np.unique`` spreads the values
     over all edges.
     """
+    checked_density(density, "density")
     eps = sched.flat_values()
     unique, edge_of = np.unique(eps, return_inverse=True)
     rhos = np.array([scaled_affinity(density, float(e)).rho for e in unique])[edge_of]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RankError, ShapeError, real, reals, whole
+from .errors import SAFE_SUM, RankError, ShapeError, real, reals, whole
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,12 @@ def covariance_spec(order, sample_count):
 
 
 def build(spec, inputs):
-    """Assemble the covariance matrix from the flat input vector.
-
-    Raises ``DomainError`` naming ``inputs`` when twice the sum S of their
-    squares overflows.  Centering never raises a sum of squares, so by
-    Cauchy-Schwarz every Gram entry is at most S and every column sum at most
-    sqrt(sample_count * S); while 2 S is finite (the 2 leaves room for
-    rounding) neither the mean nor the product overflows.
-    """
-    inputs = reals(inputs, "inputs", (spec.n_inputs,))
-    with np.errstate(over="ignore"):  # an overflow reads as inf, rejected below
-        squares = float(np.dot(inputs, inputs))
-    if not math.isfinite(2.0 * squares):
-        raise DomainError("inputs' sum of squares nears overflow; rescale the inputs")
+    """Assemble the covariance matrix from the flat input vector, each input
+    in [-b, b], b = sqrt(SAFE_SUM / (4 n_inputs)), so that nothing overflows."""
+    # a centered input is at most 2 b, so a Gram entry sums sample_count
+    # products of at most 4 b^2 = SAFE_SUM / n_inputs each
+    bound = math.sqrt(SAFE_SUM / (4 * spec.n_inputs))
+    inputs = reals(inputs, "inputs", (spec.n_inputs,), -bound, bound, "[]")
     data = inputs.reshape(spec.sample_count, spec.order)
     centered = data - data.mean(axis=0)
     cov = centered.T @ centered

@@ -17,21 +17,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, SizeError, real, reals, whole
+from .errors import SAFE_SUM, ShapeError, SizeError, real, reals, whole
 
 MAX_SPINS = 20
 
 
 @dataclass(frozen=True)
 class SKDisorder:
-    """Symmetric pair couplings, stored as the flat upper triangle (i < j)."""
+    """Symmetric pair couplings, stored as the flat upper triangle (i < j), each
+    at most SAFE_SUM / (2 pairs) in size so that no energy sum overflows."""
 
     n: int
     couplings: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "n", whole(self.n, "n"))
-        g = reals(self.couplings, "couplings", (self.n * (self.n - 1) // 2,))
+        pairs = self.n * (self.n - 1) // 2
+        # a partial sum of enumerate_energies adds at most 2 pairs couplings
+        bound = SAFE_SUM / (2 * max(pairs, 1))  # one spin has no pair
+        g = reals(self.couplings, "couplings", (pairs,), -bound, bound, "[]")
         object.__setattr__(self, "couplings", g)
 
     def coupling_matrix(self):
@@ -94,21 +98,15 @@ def _spin_table(k):
 
 
 def result_from_energies(energies, beta):
-    """Thermodynamics from a non-empty 1-D table of finite energies.
-
-    Raises ``NumericError`` when beta times an energy overflows.
-    """
+    """Thermodynamics from a non-empty 1-D table of energies, each at most
+    SAFE_SUM / max(2 beta, 1) in size."""
     beta = real(beta, "beta", 0, math.inf, "[)")
-    energies = reals(energies, "energies", (None,))
+    # |beta E| <= SAFE_SUM / 2 keeps beta E - top, and |E| <= SAFE_SUM the mean
+    bound = SAFE_SUM / max(2 * beta, 1.0)
+    energies = reals(energies, "energies", (None,), -bound, bound, "[]")
     if energies.size == 0:
         raise ShapeError("energy table must be non-empty")
-    low, high = float(energies.min()), float(energies.max())
-    # beta >= 0, so beta * E is monotone in E and its extremes bound it
-    top = beta * high
-    if not (math.isfinite(beta * low) and math.isfinite(top)):
-        raise NumericError(
-            f"beta * energy overflows at beta = {beta}, energies in [{low}, {high}]"
-        )
+    top = beta * float(energies.max())
     # one exp pass gives both: free = log sum exp(beta E) and the Gibbs weights
     weights = np.exp(beta * energies - top)
     total = weights.sum()

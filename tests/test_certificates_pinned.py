@@ -5,10 +5,10 @@ runs one untimed certificate pass of each and compares every certificate
 record with ``data/certificates_tiny.json``.  Strings and ints must be equal;
 floats must agree to a relative 1e-12, which leaves room for an ulp of
 difference in SciPy's ``ndtri`` or the C math library between versions and no
-more.  One checked pass of ``enum-exact`` and of ``poly-solvers`` at full
-scale, seeds 1-3, must raise no failure and fail no oracle check; so the
-witness checks at n = 10 and 12 and the re-solve of the shrunk covariance
-at p = 160 run here too.
+more.  One checked pass of each workload at full scale, seeds 1-3, must
+raise no failure and fail no oracle check; so the witness checks at n = 10
+and 12, the re-solve of the shrunk covariance at p = 160, and the sweep's
+Rhee point sets up to n = 400 and FPP boxes of side 81 run here too.
 
 To rewrite the stored values (only where a certificate is meant to change):
 
@@ -82,11 +82,12 @@ def test_certificates_match_pinned(computed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", ["enum-exact", "poly-solvers"])
+@pytest.mark.parametrize("name", ["enum-exact", "poly-solvers", "scaling-sweep"])
 def test_full_scale_pass_passes_its_checks(name, seed):
     # tiny scale stops at n = 6 and p = 6; full scale solves TSP at n = 10 and
     # matching at n = 12, where the benchmark checks each witness length with
-    # ==, and re-solves the shrunk covariance at p = 160 against the shift
+    # ==, re-solves the shrunk covariance at p = 160 against the shift, and
+    # builds the sweep's full-size Rhee point sets and FPP boxes
     workload = workloads.build(name, seed)
     result = harness.run_pass(workload, tracer.NullTracer(), check=True)
     assert not result.failures, result.failures

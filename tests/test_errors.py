@@ -13,10 +13,18 @@ A third table lists the entry points that take a float array, with an array
 each accepts.  Each must reject one NaN or infinite entry, and a bool,
 complex, str, object, None or ragged input, with a ``DomainError`` that names
 the argument; reject an array with an extra axis with a ``ShapeError`` that
-names it; and accept nested lists of ints.  Covariance inputs whose squares
-overflow are rejected the same way, before any product warns.  A fourth
-table lists the entry points that take a ``PointSet``; each must reject
-anything else, a nested list or a bare array included, with a
+names it; and accept nested lists of ints.
+
+The interval each entry type passes to ``reals`` is its overflow bound.  A
+table of the six bounded types (points, couplings, energies, covariance
+inputs, FPP weights, costs) builds each at its stated bound and solves it
+with warnings as errors, and one ulp above the bound expects a
+``DomainError`` naming the array.  Inputs that once overflowed downstream
+(with a warning, an inf result or an error one call deeper) must be rejected
+at entry the same way, as must covariance inputs whose squares overflow.
+
+A fourth table lists the entry points that take a ``PointSet``, and a fifth
+those that take a density; each must reject anything else, with a
 ``DomainError`` that names the argument.
 """
 
@@ -30,7 +38,7 @@ import pytest
 
 from flucert import assignment, coupling, densities, euclidean, fpp, random_matrix
 from flucert import rng, spin_glass
-from flucert.errors import DomainError, ShapeError, real, reals, whole
+from flucert.errors import SAFE_SUM, DomainError, ShapeError, real, reals, whole
 
 EXPO = densities.standard_density("exponential-rate-1")
 GAUSS = densities.standard_density("std-gaussian")
@@ -345,8 +353,8 @@ BAD_REALS = {
 
 #: ``scaled_affinity`` stays an ``lru_cache``, whose cache info the benchmark
 #: reads.  The cache hashes the arguments before the function runs, so an
-#: unhashable array raises ``TypeError`` there instead of ``DomainError``.
-UNHASHABLE = {("scaled_affinity", "array")}
+#: unhashable array or dict raises ``TypeError`` there, not ``DomainError``.
+UNHASHABLE = {("scaled_affinity", "array"), ("scaled_affinity", "dict")}
 
 REAL_IDS = [entry[0] for entry in REALS]
 
@@ -490,8 +498,114 @@ def test_overflowing_covariance_rejected_at_entry(entry, call):
     # finite inputs of 1e160 overflow the product; the error must name them,
     # not the "matrix" one call deeper, and come before any numpy warning
     call(1e150 * COVARIANCE_INPUTS)
-    with pytest.raises(DomainError, match="^inputs.* overflow; rescale the inputs$"):
+    with pytest.raises(DomainError, match=r"^inputs must be finite reals in \[-"):
         call(1e160 * COVARIANCE_INPUTS)
+
+
+def finite(*values):
+    assert all(math.isfinite(v) for v in values), values
+
+
+def solve_points(x):
+    ps = euclidean.PointSet(2, x * np.array([[1, 1], [-1, -1], [1, -1], [-1, 1]]))
+    solvers = (euclidean.tsp_exact, euclidean.matching_exact, euclidean.nn_sum)
+    finite(*(solve(ps).value for solve in solvers))
+
+
+def solve_disorder(x):
+    signs = np.where(np.arange(66) % 3, 1.0, -1.0)
+    energies = spin_glass.enumerate_energies(spin_glass.SKDisorder(12, x * signs))
+    result = spin_glass.result_from_energies(energies, 1.0)
+    finite(result.free_energy, result.gibbs_energy)
+
+
+def solve_energies(beta):
+    def solve(x):
+        result = spin_glass.result_from_energies(x * np.array([1, -1, 1, 1]), beta)
+        finite(result.free_energy, result.gibbs_energy)
+
+    return solve
+
+
+def solve_covariance(x):
+    inputs = x * COVARIANCE_INPUTS / COVARIANCE_INPUTS.max()
+    finite(random_matrix.log_abs_det(random_matrix.build(COVARIANCE, inputs)))
+
+
+def solve_grid(x):
+    h, v = np.full((2, 3), x), np.full((3, 2), x)
+    finite(fpp.passage_time(fpp.FppGrid(3, 3, h, v, (0, 0), (2, 2))).passage_time)
+
+
+def solve_costs(x):
+    costs = x * np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    finite(assignment.hungarian(assignment.CostMatrix(3, costs)).cost)
+
+
+# (id, name the message starts with, call that builds the entry type from
+# entries of size x and solves it, the bound its docstring states)
+BOUNDS = [
+    ("PointSet", "points", solve_points, 0.5 * math.sqrt(SAFE_SUM / 2)),
+    ("SKDisorder", "couplings", solve_disorder, SAFE_SUM / (2 * 66)),
+    ("result_from_energies beta 2", "energies", solve_energies(2.0), SAFE_SUM / 4),
+    ("result_from_energies beta 0", "energies", solve_energies(0.0), SAFE_SUM),
+    ("build", "inputs", solve_covariance, math.sqrt(SAFE_SUM / (4 * 8))),
+    ("FppGrid", "h_weights", solve_grid, SAFE_SUM / 12),
+    ("CostMatrix", "costs", solve_costs, SAFE_SUM / (4 * 3)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "entry, name, call, bound", BOUNDS, ids=[entry[0] for entry in BOUNDS]
+)
+def test_array_at_its_overflow_bound_solves(entry, name, call, bound):
+    call(bound)
+    with pytest.raises(DomainError, match=f"^{name} must be finite reals in "):
+        call(math.nextafter(bound, math.inf))
+
+
+# (id, name the message starts with, call) for finite inputs whose sums
+# overflowed downstream before their entry type bounded them
+OVERFLOWS = [
+    # enumerate_energies warned in matmul and returned inf and NaN energies
+    (
+        "SK couplings",
+        "couplings",
+        lambda: spin_glass.enumerate_energies(
+            spin_glass.SKDisorder(12, np.full(66, 1e307))
+        ),
+    ),
+    # hungarian warned in its sum and returned cost = inf
+    (
+        "assignment costs",
+        "costs",
+        lambda: assignment.hungarian(assignment.CostMatrix(3, np.full((3, 3), 1e308))),
+    ),
+    # beta E passed, then beta E - top warned in the subtraction
+    (
+        "beta E spread",
+        "energies",
+        lambda: spin_glass.result_from_energies(np.array([1e308, -1e308]), 1.0),
+    ),
+    # Dijkstra left the target at distance inf, raised after the solve
+    (
+        "FPP path sums",
+        "h_weights",
+        lambda: fpp.passage_time(
+            fpp.FppGrid(3, 3, np.full((2, 3), 1e308), np.ones((3, 2)), (0, 0), (2, 2))
+        ),
+    ),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "entry, name, call", OVERFLOWS, ids=[entry[0] for entry in OVERFLOWS]
+)
+def test_overflow_rejected_at_entry(entry, name, call):
+    with pytest.raises(DomainError, match=f"^{name} must be finite reals in "):
+        call()
 
 
 BAD_ARRAYS = {
@@ -563,6 +677,67 @@ def test_non_point_set_rejected_at_entry(entry, call, kind):
     call(SIX_POINTS)
     with pytest.raises(DomainError, match="^ps must be a PointSet, got "):
         call(NOT_POINT_SETS[kind])
+
+
+# (id, name the message starts with, call of the density, a density it accepts)
+DENSITY_ENTRIES = [
+    (
+        "sample_iid",
+        "f",
+        lambda f: densities.sample_iid(f, 3, rng.seed_stream(1)),
+        GAUSS,
+    ),
+    ("scaled_affinity", "f", lambda f: densities.scaled_affinity(f, 0.1), GAUSS),
+    (
+        "perturbation_affinity",
+        "f",
+        lambda f: assignment.perturbation_affinity(f, 0.1, 4),
+        EXPO,
+    ),
+    (
+        "row_tail_probability",
+        "f",
+        lambda f: assignment.row_tail_probability(f, 4),
+        EXPO,
+    ),
+    (
+        "scaling_coupling",
+        "density",
+        lambda f: euclidean.scaling_coupling(POINTS, 1.0, 1, "nn-sum", f),
+        GAUSS,
+    ),
+    (
+        "schedule_tv_bound",
+        "density",
+        lambda f: fpp.schedule_tv_bound(SCHEDULE, f),
+        GAUSS,
+    ),
+]
+
+NOT_DENSITIES = {
+    # a name used to fail with AttributeError on .ppf, .exponent or .name
+    "name": "std-gaussian",
+    "none": None,
+    "number": 2.0,
+    "ppf": GAUSS.ppf,
+    "dict": {"name": "std-gaussian"},
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_DENSITIES))
+@pytest.mark.parametrize(
+    "entry, name, call, good",
+    DENSITY_ENTRIES,
+    ids=[entry[0] for entry in DENSITY_ENTRIES],
+)
+def test_non_density_rejected_at_entry(entry, name, call, good, kind):
+    call(good)
+    if (entry, kind) in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            call(NOT_DENSITIES[kind])
+        return
+    with pytest.raises(DomainError, match=f"^{name} must be a Density1D, got "):
+        call(NOT_DENSITIES[kind])
 
 
 class TestWhole:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from flucert.coupling import PerturbationPlan, product_tv_bound
 from flucert.densities import sample_iid, scaled_affinity, standard_density
-from flucert.errors import ConfigError, DomainError, NumericError, ShapeError
+from flucert.errors import ConfigError, DomainError, ShapeError
 from flucert.fpp import (
     EpsSchedule,
     FppGrid,
@@ -180,10 +180,11 @@ class TestPassageTime:
         assert_valid_witness(geo, grid)
 
     def test_unreachable_target_raises(self):
-        # finite weights whose sums overflow leave the target at distance inf
+        # finite weights whose sums overflow would leave the target at distance
+        # inf; the grid rejects them at entry
         h, v = np.full((2, 3), 1e308), np.full((3, 2), 1e308)
-        with pytest.raises(NumericError):
-            passage_time(FppGrid(3, 3, h, v, (0, 0), (2, 2)))
+        with pytest.raises(DomainError, match="^h_weights must be finite reals in"):
+            FppGrid(3, 3, h, v, (0, 0), (2, 2))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
     @pytest.mark.parametrize("field", ["h", "v"])

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,6 +15,7 @@ import flucert
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 SOURCES = sorted((ROOT / "src" / "flucert").glob("*.py"))
 
 #: public names that no certificate path reaches yet, each with the item that wires it
@@ -30,6 +32,31 @@ def test_every_script_target_is_callable():
         module, _, attr = target.partition(":")
         func = getattr(importlib.import_module(module), attr)
         assert callable(func), (name, target)
+
+
+def test_ci_installs_every_test_import():
+    """The ``pip install`` line of each CI job names every third-party module
+    that a file under ``tests/`` or ``perfbench/`` imports, so that no test
+    passes locally only because a package (``mpmath``, say) is installed here.
+    Each such module is installed under its own name."""
+    files = sorted((ROOT / "tests").rglob("*.py"))
+    files += sorted((ROOT / "perfbench").rglob("*.py"))
+    imported = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    local = {"flucert", *(path.stem for path in files)}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "scipy", "pytest"} <= third_party
+    lines = [line for line in WORKFLOW.read_text().splitlines() if "pip install" in line]
+    assert len(lines) == 2, lines  # tier1 and tier1-floor
+    for line in lines:
+        words = line.partition("pip install")[2].split()
+        installed = {re.split(r"[=<>!~\[]", word.strip("\"'"))[0] for word in words}
+        assert third_party <= installed, (line, third_party - installed)
 
 
 def test_package_binds_only_modules():
