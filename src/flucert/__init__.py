@@ -10,9 +10,9 @@ Import the modules, not the package: ``coupling`` (TV bounds and the
 certificate), ``densities`` (densities, sampling and closed-form affinities),
 ``rng`` (seed streams), ``errors`` (typed errors; ``whole``, the one check of
 every size, count and index; ``real``, the one check of every scalar real
-parameter; and ``reals``, the one check of every float array), and one module
-per model: ``assignment``, ``euclidean``, ``fpp``, ``random_matrix``,
-``spin_glass``.
+parameter; ``reals``, the one check of every float array; and ``typed``, the
+one check of every argument of a library type), and one module per model:
+``assignment``, ``euclidean``, ``fpp``, ``random_matrix``, ``spin_glass``.
 """
 
 __version__ = "0.1.0"

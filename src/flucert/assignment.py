@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import AffinityResult, checked_density
-from .errors import SAFE_SUM, DomainError, real, reals, whole
+from .densities import AffinityResult, Density1D
+from .errors import SAFE_SUM, DomainError, real, reals, typed, whole
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def hungarian(cm):
     """
     from scipy.optimize import linear_sum_assignment
 
-    _rows, perm = linear_sum_assignment(cm.entries)
+    _rows, perm = linear_sum_assignment(typed(cm, CostMatrix, "cm").entries)
     cost = float(cm.entries[np.arange(cm.n), perm].sum())
     return AssignmentResult(permutation=perm, cost=cost)
 
@@ -89,11 +89,12 @@ def invert_perturbation(a, alpha, n):
 
 def perturb_costs(cm, alpha):
     """Entrywise application of the inverse deformation map."""
-    return CostMatrix(cm.n, invert_perturbation(cm.entries, alpha, cm.n))
+    n = typed(cm, CostMatrix, "cm").n
+    return CostMatrix(n, invert_perturbation(cm.entries, alpha, n))
 
 
 def _check_exponential(f):
-    if checked_density(f).name != "exponential-rate-1":
+    if typed(f, Density1D, "f").name != "exponential-rate-1":
         raise DomainError(f"need the rate-1 exponential cost law, got {f.name!r}")
 
 
@@ -147,7 +148,7 @@ def gap_certificate(cm, alpha):
     the base-optimal permutation on the deformed costs turns that into the
     certified lower bound on cost - cost_perturbed.
     """
-    n = cm.n
+    n = typed(cm, CostMatrix, "cm").n
     alpha = real(alpha, "alpha")
     perturbed = perturb_costs(cm, alpha)
     base = hungarian(cm)

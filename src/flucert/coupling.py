@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, SizeError, real, reals, whole
+from .errors import DomainError, SizeError, real, reals, typed, whole
 
 PLAN_KINDS = ("scale", "mixing", "nonlinear", "edge-graded")
 #: a raw word w gives a uniform below 1/2 exactly when w < 2**63
@@ -54,7 +54,7 @@ class PerturbationPlan:
 
 def product_tv_bound(plan):
     """TV bound sqrt(1 - prod rho_i^2) over the plan's coordinates."""
-    rhos = plan.affinity_lower_bounds
+    rhos = typed(plan, PerturbationPlan, "plan").affinity_lower_bounds
     if rhos.size == 0:
         return 0.0
     if np.any(rhos <= 0.0):

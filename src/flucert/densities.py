@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, DomainError, real, whole
+from .errors import ConfigError, real, typed, whole
 from .rng import uniform_open
 
 
@@ -67,16 +67,9 @@ def standard_density(name):
         ) from None
 
 
-def checked_density(f, name="f"):
-    """``f`` if it is a ``Density1D``, else ``DomainError`` naming the argument."""
-    if not isinstance(f, Density1D):
-        raise DomainError(f"{name} must be a Density1D, got {f!r}")
-    return f
-
-
 def sample_iid(f, n, rng):
     """n independent draws from f; draw i depends only on the stream key and i."""
-    return checked_density(f).ppf(uniform_open(rng, whole(n, "n")))
+    return typed(f, Density1D, "f").ppf(uniform_open(rng, whole(n, "n")))
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: a bool key is not the int 0 or 1
@@ -88,7 +81,7 @@ def scaled_affinity(f, eps):
     expm1(p log1p(eps)) = s^p - 1, so rho comes out within an ulp.  The cache
     hashes the arguments first: an unhashable one raises its ``TypeError``.
     """
-    p = checked_density(f).exponent
+    p = typed(f, Density1D, "f").exponent
     eps = real(eps, "eps", -0.5, 0.5)
     log_s = math.log1p(eps)
     rho = math.exp(0.5 * log_s - math.log1p(0.5 * math.expm1(p * log_s)) / p)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and its three argument checks.
+"""Exception hierarchy shared across the toolkit, and its four argument checks.
 
 Every size, count and index enters through ``whole``: Python and NumPy
 integers only, never a bool or a float, not even a whole one such as 4.0.
@@ -6,13 +6,16 @@ Every scalar real parameter (a strength, an affinity, a confidence, a scale)
 enters through ``real``: Python and NumPy reals only, never a bool, a str,
 None, an array or NaN.  Every float array (points, costs, weights, a matrix)
 enters through ``reals``: integer and float arrays only, never bool,
-complex, str, object or ragged input, and never a NaN entry.  Anything
-else, and a number outside the interval the argument allows, raises
-``DomainError`` naming the argument and the interval (a misshapen array
-raises ``ShapeError``), so no argument is truncated or coerced and none
+complex, str, object or ragged input, and never a NaN entry.  Every argument
+of a library type (a ``PointSet``, a ``Density1D``) enters through ``typed``.
+Anything else, and a number outside the interval the argument allows,
+raises ``DomainError`` naming the argument and the interval (a misshapen
+array raises ``ShapeError``), so no argument is truncated or coerced and none
 fails deeper in.
 The interval of ``reals`` carries each array's overflow bound, worked out from
 its shape (and beta, for energies) so that no sum downstream tops ``SAFE_SUM``.
+A stream ``rng`` stays duck-typed: entries only draw from it, so a stand-in
+that replays fixed raw words serves as well.
 """
 
 import math
@@ -82,6 +85,14 @@ def whole(value, name, low=1, high=math.inf):
                 return n
     span = f">= {low}" if high == math.inf else f"in [{low}, {high})"
     raise DomainError(f"need a whole {name} {span}, got {value!r}")
+
+
+def typed(value, cls, name):
+    """``value`` if it is a ``cls``, else ``DomainError`` naming ``name`` and the
+    type of ``value``: not its ``repr``, so that no large array is formatted."""
+    if isinstance(value, cls):
+        return value
+    raise DomainError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _inside(x, low, high, ends):

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import PerturbationPlan, product_tv_bound
-from .densities import checked_density, scaled_affinity
+from .densities import Density1D, scaled_affinity
 from .errors import (
     SAFE_SUM,
     DegenerateRegionError,
@@ -26,6 +26,7 @@ from .errors import (
     SizeError,
     real,
     reals,
+    typed,
     whole,
 )
 from .rng import uniform_open
@@ -69,13 +70,6 @@ class FunctionalValue:
     witness: object  # tour order, matching pairs, or None
 
 
-def _point_set(ps):
-    """``ps`` if it is a ``PointSet``, else ``DomainError`` naming the argument."""
-    if not isinstance(ps, PointSet):
-        raise DomainError(f"ps must be a PointSet, got {type(ps).__name__}")
-    return ps
-
-
 def _distances(points):
     """Distance matrix of (n, d) point rows."""
     diff = points[:, None, :] - points[None, :, :]
@@ -98,7 +92,7 @@ def _closed_length(pts):
 
 def tour_length(ps, order):
     """Length of the closed tour visiting every point once, in the given order."""
-    order = _check_cover(order, _point_set(ps).n, "tour")
+    order = _check_cover(order, typed(ps, PointSet, "ps").n, "tour")
     return _closed_length(ps.points[order])
 
 
@@ -115,7 +109,7 @@ def matching_length(ps, pairs):
         ends = [k for i, j in pairs for k in (i, j)]
     except (TypeError, ValueError):  # an entry that is not a pair
         raise DomainError("a matching is a sequence of index pairs") from None
-    _check_cover(ends, _point_set(ps).n, "matching")
+    _check_cover(ends, typed(ps, PointSet, "ps").n, "matching")
     return _pairs_length(ps, pairs)
 
 
@@ -181,7 +175,7 @@ def tsp_exact(ps):
     at n = TSP_EXACT_MAX = 15).  The table of partial lengths takes
     8 (n - 1) 2^(n-1) bytes, 1.75 MiB at n = 15.
     """
-    n = _point_set(ps).n
+    n = typed(ps, PointSet, "ps").n
     if n < 3 or n > TSP_EXACT_MAX:
         raise SizeError(f"tsp_exact supports 3 <= n <= {TSP_EXACT_MAX}, got {n}")
     dist = _distances(ps.points)
@@ -270,7 +264,7 @@ def matching_exact(ps):
     that n and cached, frozen, for later calls (about 0.3 MiB at
     n = MATCHING_MAX = 16).
     """
-    n = _point_set(ps).n
+    n = typed(ps, PointSet, "ps").n
     if n % 2 != 0 or n < 2 or n > MATCHING_MAX:
         raise SizeError(
             f"matching_exact supports even 2 <= n <= {MATCHING_MAX}, got {n}"
@@ -312,7 +306,7 @@ def nn_sum(ps):
     """
     from scipy.spatial import cKDTree
 
-    if _point_set(ps).n < 2:
+    if typed(ps, PointSet, "ps").n < 2:
         raise SizeError(f"nn_sum needs n >= 2, got {ps.n}")
     dist = cKDTree(ps.points).query(ps.points, k=2)[0]
     return FunctionalValue(float(dist[:, 1].sum()), None)
@@ -322,15 +316,15 @@ def scaling_coupling(ps, alpha, r, kind, density):
     """Global scaling coupling: every coordinate shrinks by 1/(1 + eps).
 
     Returns (base value, scaled value, tv_bound), with eps = alpha / sqrt(n).
-    For ``tsp-exact`` and ``matching-exact`` the points are solved once: the
-    scaled value is the length of the base witness on the shrunk points.  The
-    certificate stays rigorous.  Write L'(s) for the length of witness s on
-    the shrunk points, X for the base optimum and Y = min_s L'(s) for the
-    shrunk one.  Then Y' = L'(s_X) >= Y, so the certified gap X - Y' is at
-    most |X - Y|, and {X - Y' <= delta} contains {|X - Y| <= delta}: the
+    ``kind`` is ``tsp-exact`` or ``matching-exact``, and the points are solved
+    once: the scaled value is the length of the base witness on the shrunk
+    points.  The certificate stays rigorous.  Write L'(s) for the length of
+    witness s on the shrunk points, X for the base optimum and Y = min_s L'(s)
+    for the shrunk one.  Then Y' = L'(s_X) >= Y, so the certified gap X - Y'
+    is at most |X - Y|, and {X - Y' <= delta} contains {|X - Y| <= delta}: the
     closeness indicator can only be conservative.  In exact arithmetic every
     tour and matching scales by 1/(1 + eps), so s_X is optimal on the shrunk
-    points and Y' = Y.  ``nn_sum`` has no witness and is called once per set.
+    points and Y' = Y.
 
     The scaled value must agree with the homogeneity identity
     value / (1+eps)^r to 1e-9 max(1, |value / (1+eps)^r|), relative above 1
@@ -339,10 +333,10 @@ def scaling_coupling(ps, alpha, r, kind, density):
     coordinates), so it is built once per such triple and kept in a 64-entry
     cache; the affinity rho is looked up on every call.
     """
-    if kind not in ("tsp-exact", "matching-exact", "nn-sum"):
+    if kind not in ("tsp-exact", "matching-exact"):
         raise DomainError(f"unknown functional kind {kind!r}")
-    checked_density(density, "density")
-    n = _point_set(ps).n
+    typed(density, Density1D, "density")
+    n = typed(ps, PointSet, "ps").n
     if n < 2:
         raise SizeError(f"scaling_coupling needs n >= 2 points, got {n}")
     r = real(r, "degree r", 0)
@@ -351,11 +345,9 @@ def scaling_coupling(ps, alpha, r, kind, density):
     if kind == "tsp-exact":
         base = tsp_exact(ps)
         rescaled = FunctionalValue(tour_length(shrunk, base.witness), base.witness)
-    elif kind == "matching-exact":
+    else:
         base = matching_exact(ps)
         rescaled = FunctionalValue(matching_length(shrunk, base.witness), base.witness)
-    else:
-        base, rescaled = nn_sum(ps), nn_sum(shrunk)
     identity_value = base.value / (1.0 + eps) ** r
     tol = 1e-9 * max(1.0, abs(identity_value))
     if not abs(rescaled.value - identity_value) <= tol:  # NaN fails it too
@@ -553,5 +545,6 @@ def rhee_conservative_affinity(coupling, theta):
     the lowered volume folds the Monte-Carlo error of the volume estimate into
     the certificate conservatively.
     """
+    typed(coupling, RheeCoupling, "coupling")
     vol = max(coupling.vol_D_estimate - 3.0 * coupling.vol_D_sigma, 1e-9)
     return rhee_mixture_affinity(vol, theta)

@@ -21,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from .coupling import PerturbationPlan, product_tv_bound
-from .densities import checked_density, scaled_affinity
+from .densities import Density1D, scaled_affinity
 from .errors import SAFE_SUM, ConfigError, DomainError, ShapeError
-from .errors import real, reals, whole
+from .errors import real, reals, typed, whole
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,15 @@ class GeodesicResult:
 
 @dataclass(frozen=True)
 class EpsSchedule:
-    """Per-edge perturbation strengths, shaped like the grid weights."""
+    """Per-edge perturbation strengths in [0, 1/2), shaped like the grid weights."""
 
     h_values: np.ndarray
     v_values: np.ndarray
 
     def __post_init__(self):
-        h = reals(self.h_values, "h_values", (None, None), 0, math.inf, "[)")
+        h = reals(self.h_values, "h_values", (None, None), 0, 0.5, "[)")
         v_shape = (h.shape[0] + 1, h.shape[1] - 1)  # the h shape fixes the box
-        v = reals(self.v_values, "v_values", v_shape, 0, math.inf, "[)")
+        v = reals(self.v_values, "v_values", v_shape, 0, 0.5, "[)")
         object.__setattr__(self, "h_values", h)
         object.__setattr__(self, "v_values", v)
 
@@ -135,7 +135,7 @@ def passage_time(grid):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    w, h = grid.width, grid.height
+    w, h = typed(grid, FppGrid, "grid").width, grid.height
     indptr, indices, slot_edge = _box_graph(w, h)
     weights = _flat(grid.h_weights, grid.v_weights)
     graph = csr_matrix((weights[slot_edge], indices, indptr), shape=(w * h, w * h))
@@ -174,7 +174,7 @@ def graded_schedule(grid, alpha, n):
     n = whole(n, "n", 5)  # so that log n > 1
     alpha = real(alpha, "alpha", 0, math.inf)
     real(_graded_eps(0, alpha, n), "alpha / sqrt(log n)", 0, 0.5, "[)")
-    k_vertex = _source_graph_distance(grid)
+    k_vertex = _source_graph_distance(typed(grid, FppGrid, "grid"))
     k_h = np.minimum(k_vertex[:-1, :], k_vertex[1:, :])
     k_v = np.minimum(k_vertex[:, :-1], k_vertex[:, 1:])
     h_vals = np.where(k_h <= n / 2, _graded_eps(k_h, alpha, n), 0.0)
@@ -185,7 +185,8 @@ def graded_schedule(grid, alpha, n):
 def perturb(grid, sched):
     """Divide every edge weight by (1 + eps_e)."""
     # an EpsSchedule's v shape follows from its h shape, as a grid's does
-    if sched.h_values.shape != grid.h_weights.shape:
+    shape = typed(grid, FppGrid, "grid").h_weights.shape
+    if typed(sched, EpsSchedule, "sched").h_values.shape != shape:
         raise ShapeError("schedule does not match the grid")
     return FppGrid(
         grid.width,
@@ -204,8 +205,8 @@ def schedule_tv_bound(sched, density):
     distinct value and the inverse index of ``np.unique`` spreads the values
     over all edges.
     """
-    checked_density(density, "density")
-    eps = sched.flat_values()
+    typed(density, Density1D, "density")
+    eps = typed(sched, EpsSchedule, "sched").flat_values()
     unique, edge_of = np.unique(eps, return_inverse=True)
     rhos = np.array([scaled_affinity(density, float(e)).rho for e in unique])[edge_of]
     plan = PerturbationPlan("edge-graded", eps, rhos)
@@ -220,8 +221,9 @@ def ttq_lower_bound(geo, sched, m):
     eps * w / (1 + eps); truncating to the first m edges keeps it valid.  The
     terms are summed left to right along the path.  ``sched`` must fit ``geo.box``.
     """
-    if sched.h_values.shape != (geo.box[0] - 1, geo.box[1]):
-        raise ShapeError(f"schedule does not match the geodesic's box {geo.box}")
+    box = typed(geo, GeodesicResult, "geo").box
+    if typed(sched, EpsSchedule, "sched").h_values.shape != (box[0] - 1, box[1]):
+        raise ShapeError(f"schedule does not match the geodesic's box {box}")
     m = whole(m, "m", 0, len(geo.edge_list) + 1)
     eps = sched.flat_values()[geo.edge_list[:m]]
     terms = np.r_[0.0, eps * geo.edge_weights[:m] / (1.0 + eps)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SAFE_SUM, RankError, ShapeError, real, reals, whole
+from .errors import SAFE_SUM, RankError, ShapeError, real, reals, typed, whole
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def build(spec, inputs):
     in [-b, b], b = sqrt(SAFE_SUM / (4 n_inputs)), so that nothing overflows."""
     # a centered input is at most 2 b, so a Gram entry sums sample_count
     # products of at most 4 b^2 = SAFE_SUM / n_inputs each
-    bound = math.sqrt(SAFE_SUM / (4 * spec.n_inputs))
+    bound = math.sqrt(SAFE_SUM / (4 * typed(spec, MatrixEnsembleSpec, "spec").n_inputs))
     inputs = reals(inputs, "inputs", (spec.n_inputs,), -bound, bound, "[]")
     data = inputs.reshape(spec.sample_count, spec.order)
     centered = data - data.mean(axis=0)
@@ -83,7 +83,7 @@ def scaling_shift_check(spec, inputs, alpha):
     in the tests and in the benchmark's check pass.
     Returns (base, scaled, shift, exact); a singular base raises ``RankError``.
     """
-    root = math.sqrt(spec.n_inputs)
+    root = math.sqrt(typed(spec, MatrixEnsembleSpec, "spec").n_inputs)
     eps = real(real(alpha, "alpha") / root, "alpha / sqrt(n_inputs)", 0, 0.5, "[)")
     base = log_abs_det(build(spec, inputs))
     if base == -math.inf:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SAFE_SUM, ShapeError, SizeError, real, reals, whole
+from .errors import SAFE_SUM, ShapeError, SizeError, real, reals, typed, whole
 
 MAX_SPINS = 20
 
@@ -72,7 +72,7 @@ def enumerate_energies(dis):
     spin tables ``_spin_table(k)``, k <= MAX_SPINS / 2, and the indices
     ``_upper_triangle(n)`` of ``coupling_matrix`` are cached, frozen.
     """
-    n = dis.n
+    n = typed(dis, SKDisorder, "dis").n
     if n < 2:
         raise SizeError(f"need at least 2 spins, got {n}")
     if n > MAX_SPINS:
@@ -130,7 +130,8 @@ def _shrink(n, alpha):
 
 def scale_disorder(dis, alpha):
     """Divide every coupling by (1 - alpha/n)."""
-    return SKDisorder(dis.n, dis.couplings / _shrink(dis.n, alpha))
+    n = typed(dis, SKDisorder, "dis").n
+    return SKDisorder(n, dis.couplings / _shrink(n, alpha))
 
 
 def jensen_gap_check(dis, alpha, beta, energies, scaled_energies):
@@ -140,14 +141,24 @@ def jensen_gap_check(dis, alpha, beta, energies, scaled_energies):
     difference and rhs = beta * alpha * <H>_beta / (n (1 - alpha/n)).
     ``energies`` and ``scaled_energies`` are the 2^n energy tables of the
     disorder and of its scaled copy, from ``enumerate_energies``.
+    Above beta = top / 2, top = sqrt(n) min(1, 1 - alpha/n), the couplings are
+    held to top / (2 beta) of the ``SKDisorder`` bound, so that no energy tops
+    the bound of ``result_from_energies``.  ``holds`` allows 8 ulps of the
+    larger free energy, at least 1e-10: the inequality is exact convexity.
     """
+    n = typed(dis, SKDisorder, "dis").n
     alpha, beta = real(alpha, "alpha"), real(beta, "beta")
-    shrink = _shrink(dis.n, alpha)
+    shrink = _shrink(n, alpha)
+    top = math.sqrt(n) * min(1.0, shrink)
+    if 2 * beta > top:  # |E| <= SAFE_SUM / (4 beta): a factor 2 for rounding
+        bound = SAFE_SUM / (4 * max(dis.couplings.size, 1) * beta) * top
+        reals(dis.couplings, "couplings", None, -bound, bound, "[]")
     # these check that each table is a 1-D array of reals, so np.shape works
     base = result_from_energies(energies, beta)
     scaled = result_from_energies(scaled_energies, beta)
-    _check_table_length(energies, dis.n)
-    _check_table_length(scaled_energies, dis.n)
+    _check_table_length(energies, n)
+    _check_table_length(scaled_energies, n)
     lhs = scaled.free_energy - base.free_energy
-    rhs = beta * alpha * base.gibbs_energy / (dis.n * shrink)
-    return lhs, rhs, bool(lhs >= rhs - 1e-10)
+    rhs = beta * alpha * base.gibbs_energy / (n * shrink)
+    tol = max(1e-10, 2.0**-49 * max(abs(base.free_energy), abs(scaled.free_energy)))
+    return lhs, rhs, bool(lhs >= rhs - tol)

@@ -23,15 +23,20 @@ with warnings as errors, and one ulp above the bound expects a
 (with a warning, an inf result or an error one call deeper) must be rejected
 at entry the same way, as must covariance inputs whose squares overflow.
 
-A fourth table lists the entry points that take a ``PointSet``, and a fifth
-those that take a density; each must reject anything else, with a
-``DomainError`` that names the argument.
+A fourth table lists every argument that must be of a library type (a
+``PointSet``, a ``Density1D``, a cost matrix, a grid, a schedule, a
+geodesic, a disorder, a covariance spec, a plan, a Rhee coupling), through
+``errors.typed``.  Each must reject None, a number, a str, an array, a nested
+list, a dict, a tuple of the accepted value's fields and a duck with the same
+attributes, with a ``DomainError`` that names the argument, the type it needs
+and the type it got.
 """
 
 import math
 import re
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -189,6 +194,7 @@ def test_numpy_integers_accepted(entry, name, call, good, out, to_numpy):
 COVARIANCE = random_matrix.covariance_spec(2, 4)
 COVARIANCE_INPUTS = np.arange(1.0, 9.0) ** 2 / 8  # a full-rank covariance
 POINTS = euclidean.PointSet(2, rng.uniform_open(rng.seed_stream(1), (16, 2)))
+SIX_POINTS = euclidean.PointSet(2, POINTS.points[:6])
 COSTS = assignment.CostMatrix(3, np.arange(1.0, 10.0).reshape(3, 3) / 10)
 DISORDER = spin_glass.SKDisorder(3, np.array([0.5, -1.0, 2.0]))
 ENERGIES = spin_glass.enumerate_energies(DISORDER)
@@ -260,14 +266,14 @@ REALS = [
     (
         "scaling_coupling alpha",
         "alpha",
-        lambda x: euclidean.scaling_coupling(POINTS, x, 1, "nn-sum", GAUSS),
+        lambda x: euclidean.scaling_coupling(SIX_POINTS, x, 1, "tsp-exact", GAUSS),
         1,
         2,
     ),
     (
         "scaling_coupling r",
         "degree r",
-        lambda x: euclidean.scaling_coupling(POINTS, 1, x, "nn-sum", GAUSS),
+        lambda x: euclidean.scaling_coupling(SIX_POINTS, 1, x, "tsp-exact", GAUSS),
         1,
         0,
     ),
@@ -353,8 +359,11 @@ BAD_REALS = {
 
 #: ``scaled_affinity`` stays an ``lru_cache``, whose cache info the benchmark
 #: reads.  The cache hashes the arguments before the function runs, so an
-#: unhashable array or dict raises ``TypeError`` there, not ``DomainError``.
-UNHASHABLE = {("scaled_affinity", "array"), ("scaled_affinity", "dict")}
+#: unhashable array, list, dict or namespace raises ``TypeError`` there, not
+#: ``DomainError``.
+UNHASHABLE = {
+    ("scaled_affinity", kind) for kind in ("array", "nested list", "dict", "duck")
+}
 
 REAL_IDS = [entry[0] for entry in REALS]
 
@@ -527,6 +536,14 @@ def solve_energies(beta):
     return solve
 
 
+def jensen_at(n, x, beta):
+    """``jensen_gap_check`` at alpha = 0 on n spins with every coupling x."""
+    dis = spin_glass.SKDisorder(n, np.full(n * (n - 1) // 2, x))
+    energies = spin_glass.enumerate_energies(dis)
+    lhs, rhs, _holds = spin_glass.jensen_gap_check(dis, 0.0, beta, energies, energies)
+    finite(lhs, rhs)
+
+
 def solve_covariance(x):
     inputs = x * COVARIANCE_INPUTS / COVARIANCE_INPUTS.max()
     finite(random_matrix.log_abs_det(random_matrix.build(COVARIANCE, inputs)))
@@ -552,6 +569,14 @@ BOUNDS = [
     ("build", "inputs", solve_covariance, math.sqrt(SAFE_SUM / (4 * 8))),
     ("FppGrid", "h_weights", solve_grid, SAFE_SUM / 12),
     ("CostMatrix", "costs", solve_costs, SAFE_SUM / (4 * 3)),
+    # at alpha = 0 and above beta = sqrt(n) / 2, jensen_gap_check cuts the
+    # SKDisorder bound by sqrt(n) / (2 beta)
+    (
+        "jensen_gap_check beta 3",
+        "couplings",
+        partial(jensen_at, 3, beta=3.0),
+        SAFE_SUM / (4 * 3 * 3) * math.sqrt(3),
+    ),
 ]
 
 
@@ -565,9 +590,27 @@ def test_array_at_its_overflow_bound_solves(entry, name, call, bound):
         call(math.nextafter(bound, math.inf))
 
 
+HEAVY = fpp.FppGrid(4, 4, np.full((3, 4), 1e10), np.full((4, 3), 1e10), (0, 0), (3, 3))
+
 # (id, name the message starts with, call) for finite inputs whose sums
 # overflowed downstream before their entry type bounded them
 OVERFLOWS = [
+    # ttq_lower_bound warned in eps * w: a strength must stay below 1/2
+    (
+        "FPP schedule",
+        "h_values",
+        lambda: fpp.ttq_lower_bound(
+            fpp.passage_time(HEAVY),
+            fpp.EpsSchedule(np.full((3, 4), 1e300), np.full((4, 3), 1e300)),
+            6,
+        ),
+    ),
+    # couplings at the SKDisorder bound passed jensen_gap_check's entry, and
+    # result_from_energies refused their energies at beta = 3 by the table's name
+    *[
+        (f"SK couplings at beta 3, n = {n}", "couplings", partial(jensen_at, n, x, 3))
+        for n, x in ((2, SAFE_SUM / 2), (3, SAFE_SUM / 6))
+    ],
     # enumerate_energies warned in matmul and returned inf and NaN energies
     (
         "SK couplings",
@@ -642,102 +685,211 @@ def test_nested_lists_of_ints_accepted(entry, name, call, good):
     call(np.rint(good).astype(int).tolist())
 
 
-SIX_POINTS = euclidean.PointSet(2, POINTS.points[:6])
+PLAN = coupling.PerturbationPlan("mixing", np.zeros(3), np.full(3, 0.9))
+RHEE = rhee()[2]
 
-# (id, call of the point set) for every entry point that takes a PointSet
-POINT_SET_ENTRIES = [
-    ("tsp_exact", euclidean.tsp_exact),
-    ("matching_exact", euclidean.matching_exact),
-    ("nn_sum", euclidean.nn_sum),
-    ("tour_length", lambda ps: euclidean.tour_length(ps, range(6))),
+# (id, name the message starts with, type it needs, call of the argument, a
+# value it accepts) for every argument that an entry reads as a library type
+TYPED = [
+    ("tsp_exact", "ps", euclidean.PointSet, euclidean.tsp_exact, SIX_POINTS),
+    ("matching_exact", "ps", euclidean.PointSet, euclidean.matching_exact, SIX_POINTS),
+    ("nn_sum", "ps", euclidean.PointSet, euclidean.nn_sum, SIX_POINTS),
+    (
+        "tour_length",
+        "ps",
+        euclidean.PointSet,
+        lambda ps: euclidean.tour_length(ps, range(6)),
+        SIX_POINTS,
+    ),
     (
         "matching_length",
+        "ps",
+        euclidean.PointSet,
         lambda ps: euclidean.matching_length(ps, [(0, 1), (2, 3), (4, 5)]),
+        SIX_POINTS,
     ),
     (
-        "scaling_coupling",
+        "scaling_coupling ps",
+        "ps",
+        euclidean.PointSet,
         lambda ps: euclidean.scaling_coupling(ps, 1.0, 1, "tsp-exact", GAUSS),
+        SIX_POINTS,
     ),
-]
-
-NOT_POINT_SETS = {
-    # a nested list used to fail with AttributeError on .points or .n
-    "nested list": SIX_POINTS.points.tolist(),
-    "array": SIX_POINTS.points,
-    "none": None,
-    "points tuple": (2, SIX_POINTS.points),
-}
-
-
-@pytest.mark.parametrize("kind", list(NOT_POINT_SETS))
-@pytest.mark.parametrize(
-    "entry, call", POINT_SET_ENTRIES, ids=[entry[0] for entry in POINT_SET_ENTRIES]
-)
-def test_non_point_set_rejected_at_entry(entry, call, kind):
-    call(SIX_POINTS)
-    with pytest.raises(DomainError, match="^ps must be a PointSet, got "):
-        call(NOT_POINT_SETS[kind])
-
-
-# (id, name the message starts with, call of the density, a density it accepts)
-DENSITY_ENTRIES = [
+    (
+        "scaling_coupling density",
+        "density",
+        densities.Density1D,
+        lambda f: euclidean.scaling_coupling(SIX_POINTS, 1.0, 1, "tsp-exact", f),
+        GAUSS,
+    ),
+    (
+        "rhee_conservative_affinity",
+        "coupling",
+        euclidean.RheeCoupling,
+        lambda c: euclidean.rhee_conservative_affinity(c, 0.5),
+        RHEE,
+    ),
     (
         "sample_iid",
         "f",
+        densities.Density1D,
         lambda f: densities.sample_iid(f, 3, rng.seed_stream(1)),
         GAUSS,
     ),
-    ("scaled_affinity", "f", lambda f: densities.scaled_affinity(f, 0.1), GAUSS),
+    (
+        "scaled_affinity",
+        "f",
+        densities.Density1D,
+        lambda f: densities.scaled_affinity(f, 0.1),
+        GAUSS,
+    ),
     (
         "perturbation_affinity",
         "f",
+        densities.Density1D,
         lambda f: assignment.perturbation_affinity(f, 0.1, 4),
         EXPO,
     ),
     (
         "row_tail_probability",
         "f",
+        densities.Density1D,
         lambda f: assignment.row_tail_probability(f, 4),
         EXPO,
     ),
+    ("hungarian", "cm", assignment.CostMatrix, assignment.hungarian, COSTS),
     (
-        "scaling_coupling",
-        "density",
-        lambda f: euclidean.scaling_coupling(POINTS, 1.0, 1, "nn-sum", f),
-        GAUSS,
+        "perturb_costs",
+        "cm",
+        assignment.CostMatrix,
+        lambda cm: assignment.perturb_costs(cm, 1.0),
+        COSTS,
     ),
     (
-        "schedule_tv_bound",
+        "gap_certificate",
+        "cm",
+        assignment.CostMatrix,
+        lambda cm: assignment.gap_certificate(cm, 1.0),
+        COSTS,
+    ),
+    ("passage_time", "grid", fpp.FppGrid, fpp.passage_time, BOX),
+    (
+        "graded_schedule",
+        "grid",
+        fpp.FppGrid,
+        lambda g: fpp.graded_schedule(g, 0.5, 12),
+        BOX,
+    ),
+    ("perturb grid", "grid", fpp.FppGrid, lambda g: fpp.perturb(g, SCHEDULE), BOX),
+    (
+        "perturb sched",
+        "sched",
+        fpp.EpsSchedule,
+        lambda s: fpp.perturb(BOX, s),
+        SCHEDULE,
+    ),
+    (
+        "ttq_lower_bound geo",
+        "geo",
+        fpp.GeodesicResult,
+        lambda g: fpp.ttq_lower_bound(g, SCHEDULE, 3),
+        GEODESIC,
+    ),
+    (
+        "ttq_lower_bound sched",
+        "sched",
+        fpp.EpsSchedule,
+        lambda s: fpp.ttq_lower_bound(GEODESIC, s, 3),
+        SCHEDULE,
+    ),
+    (
+        "schedule_tv_bound sched",
+        "sched",
+        fpp.EpsSchedule,
+        lambda s: fpp.schedule_tv_bound(s, GAUSS),
+        SCHEDULE,
+    ),
+    (
+        "schedule_tv_bound density",
         "density",
+        densities.Density1D,
         lambda f: fpp.schedule_tv_bound(SCHEDULE, f),
         GAUSS,
     ),
+    (
+        "enumerate_energies",
+        "dis",
+        spin_glass.SKDisorder,
+        spin_glass.enumerate_energies,
+        DISORDER,
+    ),
+    (
+        "scale_disorder",
+        "dis",
+        spin_glass.SKDisorder,
+        lambda d: spin_glass.scale_disorder(d, 1.0),
+        DISORDER,
+    ),
+    (
+        "jensen_gap_check",
+        "dis",
+        spin_glass.SKDisorder,
+        lambda d: spin_glass.jensen_gap_check(d, 1, 1, ENERGIES, ENERGIES),
+        DISORDER,
+    ),
+    (
+        "build",
+        "spec",
+        random_matrix.MatrixEnsembleSpec,
+        lambda spec: random_matrix.build(spec, COVARIANCE_INPUTS),
+        COVARIANCE,
+    ),
+    (
+        "scaling_shift_check",
+        "spec",
+        random_matrix.MatrixEnsembleSpec,
+        lambda spec: random_matrix.scaling_shift_check(spec, COVARIANCE_INPUTS, 1.0),
+        COVARIANCE,
+    ),
+    (
+        "product_tv_bound",
+        "plan",
+        coupling.PerturbationPlan,
+        coupling.product_tv_bound,
+        PLAN,
+    ),
 ]
 
-NOT_DENSITIES = {
-    # a name used to fail with AttributeError on .ppf, .exponent or .name
-    "name": "std-gaussian",
-    "none": None,
-    "number": 2.0,
-    "ppf": GAUSS.ppf,
-    "dict": {"name": "std-gaussian"},
+#: one shared set of wrong values; the tuple holds the fields of the value the
+#: entry accepts, and the duck has each of them as an attribute.  Before
+#: ``errors.typed`` owned these arguments, most failed with ``AttributeError``
+#: one call deeper.
+NOT_TYPED = {
+    "none": lambda good: None,
+    "number": lambda good: 2.0,
+    "str": lambda good: "std-gaussian",
+    "array": lambda good: SIX_POINTS.points,
+    "nested list": lambda good: SIX_POINTS.points.tolist(),
+    "dict": lambda good: {"name": "std-gaussian", "n": 3},
+    "tuple": lambda good: tuple(vars(good).values()),
+    "duck": lambda good: SimpleNamespace(**vars(good)),
 }
 
 
-@pytest.mark.parametrize("kind", list(NOT_DENSITIES))
+@pytest.mark.parametrize("kind", list(NOT_TYPED))
 @pytest.mark.parametrize(
-    "entry, name, call, good",
-    DENSITY_ENTRIES,
-    ids=[entry[0] for entry in DENSITY_ENTRIES],
+    "entry, name, cls, call, good", TYPED, ids=[entry[0] for entry in TYPED]
 )
-def test_non_density_rejected_at_entry(entry, name, call, good, kind):
+def test_wrong_type_rejected_at_entry(entry, name, cls, call, good, kind):
     call(good)
+    bad = NOT_TYPED[kind](good)
     if (entry, kind) in UNHASHABLE:
         with pytest.raises(TypeError, match="unhashable"):
-            call(NOT_DENSITIES[kind])
+            call(bad)
         return
-    with pytest.raises(DomainError, match=f"^{name} must be a Density1D, got "):
-        call(NOT_DENSITIES[kind])
+    message = f"{name} must be a {cls.__name__}, got {type(bad).__name__}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 class TestWhole:

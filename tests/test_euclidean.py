@@ -22,7 +22,6 @@ from flucert.errors import (
 from flucert.euclidean import (
     MATCHING_MAX,
     TSP_EXACT_MAX,
-    FunctionalValue,
     PointSet,
     matching_exact,
     matching_length,
@@ -428,7 +427,7 @@ class TestScalingCoupling:
     def test_alpha_zero(self):
         f = standard_density("exponential-rate-1")
         ps = random_points(10, 21, half_line=True)
-        base, rescaled, tv = scaling_coupling(ps, 0.0, 1, "nn-sum", f)
+        base, rescaled, tv = scaling_coupling(ps, 0.0, 1, "tsp-exact", f)
         assert rescaled.value == base.value
         assert tv == 0.0
 
@@ -441,26 +440,18 @@ class TestScalingCoupling:
         )
         assert 0.0 < tv < 1.0
 
-    def test_nn_sum_agrees(self):
-        f = standard_density("std-gaussian")
-        ps = random_points(12, 23)
-        base, rescaled, _ = scaling_coupling(ps, 0.3, 1, "nn-sum", f)
-        assert rescaled.value == pytest.approx(
-            base.value / (1 + 0.3 / math.sqrt(12)), rel=1e-12
-        )
-
     def test_wrong_degree_detected(self):
         f = standard_density("std-gaussian")
         ps = random_points(8, 24)
         with pytest.raises(InternalConsistencyError):
-            scaling_coupling(ps, 0.5, 2, "nn-sum", f)
+            scaling_coupling(ps, 0.5, 2, "tsp-exact", f)
 
     def test_unknown_kind_rejected(self):
         f = standard_density("std-gaussian")
         with pytest.raises(DomainError):
             scaling_coupling(random_points(8, 25), 0.5, 1, "tsp-2opt", f)
 
-    @pytest.mark.parametrize("kind", [None, "TSP-EXACT", "nn_sum"])
+    @pytest.mark.parametrize("kind", [None, "TSP-EXACT", "nn_sum", "nn-sum"])
     @pytest.mark.parametrize("n", [1, 8, 16])
     def test_kind_checked_at_entry(self, monkeypatch, kind, n):
         # before the points are rescaled or solved, whatever their size
@@ -472,7 +463,7 @@ class TestScalingCoupling:
         "density",
         ["std-gaussian", None, pytest.param({"name": "std-gaussian"}, id="dict"), 2.0],
     )
-    @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact", "nn-sum"])
+    @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact"])
     def test_density_checked_at_entry(self, monkeypatch, density, kind):
         # a string or None used to fail with AttributeError, and a dict with
         # TypeError, inside scaled_affinity after both instances were solved
@@ -484,9 +475,9 @@ class TestScalingCoupling:
     def test_degree_checked_at_entry(self, r):
         f = standard_density("std-gaussian")
         with pytest.raises(DomainError, match=r"^need a real degree r in \(0, inf\)"):
-            scaling_coupling(random_points(8, 26), 0.5, r, "nn-sum", f)
+            scaling_coupling(random_points(8, 26), 0.5, r, "tsp-exact", f)
 
-    @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact", "nn-sum"])
+    @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact"])
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_points_rejected_at_entry(self, n, kind):
         # the empty set used to raise ZeroDivisionError from alpha / sqrt(n),
@@ -497,16 +488,11 @@ class TestScalingCoupling:
             scaling_coupling(ps, 0.5, 1, kind, f)
 
     def test_nan_rescaled_value_detected(self, monkeypatch):
-        calls = []
-
-        def nan_on_rescaled(ps):
-            calls.append(ps)
-            return FunctionalValue(1.0 if len(calls) == 1 else math.nan, None)
-
-        monkeypatch.setattr(euclidean, "nn_sum", nan_on_rescaled)
+        # the rescaled value is the witness length on the shrunk points
+        monkeypatch.setattr(euclidean, "tour_length", lambda ps, order: math.nan)
         f = standard_density("std-gaussian")
         with pytest.raises(InternalConsistencyError):
-            scaling_coupling(random_points(8, 27), 0.5, 1, "nn-sum", f)
+            scaling_coupling(random_points(8, 27), 0.5, 1, "tsp-exact", f)
 
     @pytest.mark.parametrize(
         "kind, length",
@@ -529,10 +515,10 @@ class TestScalingCoupling:
         with pytest.raises(InternalConsistencyError, match=f"^{kind} is not homogeneous"):
             scaling_coupling(random_points(8, 28), 0.5, 1, kind, GAUSS)
 
-    @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact", "nn-sum"])
+    @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact"])
     def test_solvers_called_through_module_names(self, monkeypatch, kind):
         # a tracer counts calls by rebinding these names: the exact solver
-        # must solve the base points once, and nn_sum once per point set
+        # must solve the base points once
         calls = {name: [] for name in ("tsp_exact", "matching_exact", "nn_sum")}
         for name, log in calls.items():
             solve = getattr(euclidean, name)
@@ -545,17 +531,11 @@ class TestScalingCoupling:
         ps = random_points(8, 29)
         scaling_coupling(ps, 0.5, 1, kind, GAUSS)
         solver = kind.replace("-", "_")
-        want = 2 if kind == "nn-sum" else 1
         assert {name: len(log) for name, log in calls.items()} == {
-            name: want if name == solver else 0 for name in calls
+            name: int(name == solver) for name in calls
         }
-        [(base,), *rest] = calls[solver]
+        [(base,)] = calls[solver]
         assert base is ps
-        if rest:  # nn_sum's second call takes the shrunk copy
-            [(shrunk,)] = rest
-            np.testing.assert_array_equal(
-                shrunk.points, ps.scaled(1.0 / (1.0 + 0.5 / math.sqrt(8))).points
-            )
 
 
 def unreachable(*args):

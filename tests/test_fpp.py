@@ -244,7 +244,8 @@ class TestSchedules:
         sched = graded_schedule(grid, 1.0, 100)
         assert sched.h_values[0, 0] > sched.h_values[1, 0] > sched.h_values[2, 0]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    # every per-edge affinity needs a strength below 1/2
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 0.5, 1e300])
     @pytest.mark.parametrize("field", ["h", "v"])
     def test_invalid_strengths_rejected(self, bad, field):
         h, v = np.full((3, 4), 0.1), np.full((4, 3), 0.1)

@@ -64,6 +64,14 @@ def test_package_binds_only_modules():
     assert all(isinstance(v, types.ModuleType) for v in public.values()), public
 
 
+def test_only_errors_checks_types():
+    """``errors.typed`` owns every check that an argument is of a library
+    type, so no other module grows a private one: ``isinstance`` appears
+    under ``src/flucert/`` only in ``errors.py``."""
+    checking = [path.name for path in SOURCES if "isinstance(" in path.read_text()]
+    assert checking == ["errors.py"]
+
+
 #: SciPy subpackages that importing flucert must leave unloaded
 DEFERRED = (
     "scipy.integrate",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from flucert.densities import sample_iid, standard_density
 from flucert.errors import DomainError, ShapeError, SizeError
 from flucert.rng import seed_stream
 from flucert.spin_glass import (
@@ -278,6 +279,22 @@ class TestJensenGap:
             for beta in (0.5, 1.5):
                 lhs, rhs, holds = jensen(dis, 0.5, beta)
                 assert holds, (seed, beta, lhs, rhs)
+
+    def test_holds_at_large_coupling_scale(self):
+        # the inequality is exact convexity, so only rounding can break it, and
+        # rounding grows with |F|: an absolute 1e-10 flagged 74 of these 200
+        gauss = standard_density("std-gaussian")
+        for rep in range(200):
+            couplings = 1e6 * sample_iid(gauss, 66, seed_stream(1, rep))
+            lhs, rhs, holds = jensen(SKDisorder(12, couplings), 1.0, 1.0)
+            assert holds, (rep, lhs, rhs)
+
+    def test_violation_detected(self):
+        # the base table in place of the scaled one gives lhs = 0 < rhs
+        dis = random_disorder(6, 32)
+        energies = enumerate_energies(dis)
+        lhs, rhs, holds = jensen_gap_check(dis, 0.8, 1.0, energies, energies)
+        assert lhs == 0.0 < rhs and not holds
 
 
 class TestDerivative:
