@@ -55,8 +55,6 @@ class PerturbationPlan:
 def product_tv_bound(plan):
     """TV bound sqrt(1 - prod rho_i^2) over the plan's coordinates."""
     rhos = typed(plan, PerturbationPlan, "plan").affinity_lower_bounds
-    if rhos.size == 0:
-        return 0.0
     if np.any(rhos <= 0.0):
         return 1.0
     # 1 - prod(rho^2) evaluated in log space to keep precision near rho = 1

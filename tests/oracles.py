@@ -6,7 +6,10 @@ a heap Dijkstra with smallest-index tie breaking, a partial-pivoting LU
 log-determinant, a Gray-code sweep over spin configurations, a per-mask
 Held-Karp loop and a per-mask push loop for the minimum matching.  The
 enumeration of all n! assignments backs the Hungarian checks at small n.  They
-take the same inputs as the ``flucert`` solvers and return plain values.
+take the same inputs as the ``flucert`` solvers and return plain values.  The
+two Euclidean loops take the length of their witness as the library does: each
+edge by ``sqrt(square(diff).sum())``, the distance the DP minimised (no BLAS
+``np.linalg.norm``), summed by ``ndarray.sum`` in witness order.
 
 The second half keeps the earlier forms of the per-replicate hot paths, which
 the current ones must match bit for bit: the dense nearest-neighbor sum, the
@@ -311,10 +314,9 @@ def matching_loop(ps):
         pairs.append((i, j))
         mask ^= pair
     pairs.reverse()
-    total = 0.0
-    for i, j in pairs:
-        total += float(np.linalg.norm(pts[i] - pts[j]))
-    return total, tuple(pairs)
+    i, j = np.array(pairs).T
+    seg = pts[i] - pts[j]
+    return float(np.sqrt(np.square(seg).sum(axis=1)).sum()), tuple(pairs)
 
 
 def dense_nn_sum(ps):

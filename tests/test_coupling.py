@@ -83,9 +83,10 @@ class TestTvFromAffinity:
 
 class TestProductTvBound:
     def test_all_one(self):
-        plan = PerturbationPlan("scale", np.zeros(5), np.ones(5))
-        assert product_tv_bound(plan) == 0.0
-        assert math.copysign(1.0, product_tv_bound(plan)) == 1.0  # not -0.0
+        for count in (5, 0):  # the empty plan too
+            plan = PerturbationPlan("scale", np.zeros(count), np.ones(count))
+            assert product_tv_bound(plan) == 0.0
+            assert math.copysign(1.0, product_tv_bound(plan)) == 1.0  # not -0.0
 
     def test_single_coordinate_matches_scalar_form(self):
         plan = PerturbationPlan("mixing", np.zeros(1), np.array([0.6]))

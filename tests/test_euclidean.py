@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flucert import euclidean, fpp, spin_glass
-from flucert.densities import standard_density
+from flucert.densities import sample_iid, standard_density
 from flucert.errors import (
     DegenerateRegionError,
     DomainError,
@@ -304,6 +304,23 @@ class TestMatching:
         res = matching_exact(ps)
         assert (res.value, res.witness) == matching_loop(ps)
 
+    @staticmethod
+    def assert_value_sums_minimised_distances(ps):
+        res = matching_exact(ps)
+        i, j = np.array(res.witness).T
+        assert res.value == float(_distances(ps.points)[i, j].sum())
+
+    def test_value_sums_minimised_distances(self):
+        # a length by np.linalg.norm, a BLAS dot, can differ in its last bit
+        # from the distance the DP minimised; with OpenBLAS it does here
+        points = sample_iid(GAUSS, 16, seed_stream(4, 0, 8)).reshape(8, 2)
+        self.assert_value_sums_minimised_distances(PointSet(2, points))
+
+    @pytest.mark.parametrize("n", range(4, MATCHING_MAX + 1, 2))
+    def test_value_sums_minimised_distances_sweep(self, n):
+        for seed in range(1, 26):
+            self.assert_value_sums_minimised_distances(random_points(n, seed))
+
 
 class TestWitnessLength:
     """A length is taken only of a witness: a closed tour through every point
@@ -353,9 +370,9 @@ class TestWitnessLength:
         assert tour_length(ps, order) == tour
         assert tour_length(ps, np.array(order)) == tour
         pairs = [(0, 5), (1, 2), (3, 7), (4, 6)]
-        total = 0.0
-        for i, j in pairs:
-            total += float(np.linalg.norm(ps.points[i] - ps.points[j]))
+        i, j = np.array(pairs).T
+        seg = ps.points[i] - ps.points[j]
+        total = float(np.sqrt(np.square(seg).sum(axis=1)).sum())
         assert matching_length(ps, pairs) == total
         assert matching_length(ps, np.array(pairs)) == total
 
@@ -486,13 +503,6 @@ class TestScalingCoupling:
         ps = PointSet(2, np.zeros((n, 2)))
         with pytest.raises(SizeError, match=r"^scaling_coupling needs n >= 2"):
             scaling_coupling(ps, 0.5, 1, kind, f)
-
-    def test_nan_rescaled_value_detected(self, monkeypatch):
-        # the rescaled value is the witness length on the shrunk points
-        monkeypatch.setattr(euclidean, "tour_length", lambda ps, order: math.nan)
-        f = standard_density("std-gaussian")
-        with pytest.raises(InternalConsistencyError):
-            scaling_coupling(random_points(8, 27), 0.5, 1, "tsp-exact", f)
 
     @pytest.mark.parametrize(
         "kind, length",
@@ -718,7 +728,7 @@ class TestRheeCoupling:
         # a region of volume about 2e-4 and a budget of one candidate batch
         monkeypatch.setattr(euclidean, "MAX_REJECTION", 1)
         with pytest.raises(DegenerateRegionError, match="rejection sampling"):
-            rhee_coupling_sample(12, 0.01, 3.0, seed_stream(1))
+            rhee_coupling_sample(12, 0.01, 3.0, seed_stream(1), probes=100_000)
 
 
 

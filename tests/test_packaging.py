@@ -72,6 +72,13 @@ def test_only_errors_checks_types():
     assert checking == ["errors.py"]
 
 
+def test_euclidean_lengths_use_no_blas():
+    """Every Euclidean length is ``_distances``'s formula, which the exact
+    solvers minimise; ``np.linalg.norm`` goes through a BLAS dot whose last
+    bit may differ, so ``linalg`` does not appear in ``euclidean.py``."""
+    assert "linalg" not in (ROOT / "src" / "flucert" / "euclidean.py").read_text()
+
+
 #: SciPy subpackages that importing flucert must leave unloaded
 DEFERRED = (
     "scipy.integrate",
