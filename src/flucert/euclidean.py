@@ -96,10 +96,15 @@ def _edges_length(points, tails, heads):
     return float(np.sqrt(np.square(diff).sum(axis=1)).sum())
 
 
+def _tour_edges(order):
+    """The (tails, heads) of the closed tour ``order``, a list or a tuple."""
+    return order, order[1:] + order[:1]
+
+
 def tour_length(ps, order):
     """Length of the closed tour visiting every point once, in the given order."""
     order = _check_cover(order, typed(ps, PointSet, "ps").n, "tour")
-    return _edges_length(ps.points, order, order[1:] + order[:1])
+    return _edges_length(ps.points, *_tour_edges(order))
 
 
 def matching_length(ps, pairs):
@@ -137,42 +142,69 @@ def _frozen(*tables):
 
 @lru_cache(maxsize=None)
 def _held_karp_layers(m):
-    """Index tables of the Held-Karp layers over m nodes, one per popcount.
+    """Candidate tables of the Held-Karp DP over m nodes.
 
-    Layer s (s = 2..m) lists every pair (mask, j) with |mask| = s and j in
-    mask as three frozen index arrays: the flat slot ``j * 2^m + mask`` of the
-    node-major (m, 2^m) table, the predecessor ``mask ^ (1 << j)`` and the end
-    node j.  They depend on m alone; the size checks in ``tsp_exact`` bound the
-    cache to TSP_EXACT_MAX - 2 entries.
+    The states (mask, j), j in mask, are numbered layer by layer, and within
+    a layer by mask and then j, both ascending: the m singletons (1 << j, j)
+    are states 0..m-1, and the m states of the full mask come last, in order
+    of j.  Returns (number, layers).  ``number[mask, k]`` is the number of
+    state (mask, k), or the sentinel m 2^(m-1), one past the last state, when
+    k is not in mask.  ``layers`` holds, for s = 2..m, two frozen
+    (s - 1, L_s) intp tables over the L_s = C(m, s) s states of popcount s:
+    the number of each feasible predecessor (mask ^ 1 << j, k), k ascending
+    down a column, and the flat index k m + j of its last leg in the (m, m)
+    distance table.  So the DP gathers m (m - 1) 2^(m-2) candidates in all,
+    against m^2 (2^(m-1) - 1) over every k: 9,216 against 20,655 at m = 9.
+
+    The tables depend on m alone and take 8 m 2^m + 16 m (m - 1) 2^(m-2)
+    bytes, 13.125 MiB at m = TSP_EXACT_MAX - 1 = 14; the size checks in
+    ``tsp_exact`` bound the cache to TSP_EXACT_MAX - 2 entries.
     """
     masks, popcount, _ = _subsets(m)
+    nodes = np.arange(m)
+    number = np.full((1 << m, m), m << (m - 1), dtype=np.intp)
+    number[1 << nodes, nodes] = nodes
+    start = m
     layers = []
-    for size in range(2, m + 1):  # singletons are seeded by the caller
+    for size in range(2, m + 1):  # the caller seeds the singletons' lengths
         layer = masks[popcount == size]
-        row, end = np.nonzero((layer[:, None] >> np.arange(m)) & 1)
-        end = np.ascontiguousarray(end)  # nonzero gives strided views of one array
+        row, end = np.nonzero((layer[:, None] >> nodes) & 1)
         mask = layer[row]
-        layers.append(_frozen((end << m) + mask, mask ^ (1 << end), end))
-    return tuple(layers)
+        number[mask, end] = np.arange(start, start + mask.size)
+        start += mask.size
+        prev = mask ^ (1 << end)
+        # each predecessor has size - 1 nodes, listed ascending per row
+        pred_node = np.nonzero((prev[:, None] >> nodes) & 1)[1]
+        pred_node = pred_node.reshape(mask.size, size - 1).T
+        layers.append(
+            _frozen(
+                np.ascontiguousarray(number[prev, pred_node]),
+                np.ascontiguousarray(pred_node * m + end),
+            )
+        )
+    return _frozen(number)[0], tuple(layers)
 
 
 def tsp_exact(ps):
     """Optimal closed tour of a point set by the Held-Karp subset DP.
 
-    dp[k, mask] is the shortest path from node 0 through the nodes of mask
-    (nodes 1..n-1 as bits 0..n-2) that ends at node k.  One vectorized step
-    per popcount layer relaxes every (mask, j) pair of the layer at once: the
-    candidates dp[., mask minus j] + dist[., j] are gathered node-major and
-    only their minimum is kept.  The tour, which starts at node 0, is then
-    read back one node at a time from the full mask: each step recomputes,
-    with the same additions, the candidate column of its (mask, j) and takes
-    its ``ndarray.argmin``, the first minimum, so ties go to the smallest
+    dp(mask, j) is the shortest path from node 0 through the nodes of mask
+    (nodes 1..n-1 as bits 0..n-2) that ends at node j.  One vectorized step
+    per popcount layer relaxes every state (mask, j) of the layer at once:
+    it gathers, through ``_held_karp_layers``'s tables, the candidates
+    dp(mask ^ 1 << j, k) + dist[k, j] over the nodes k of the predecessor
+    only, and keeps their minimum.  A minimum of the same finite sums, so the
+    values are those of a loop over every k.  The tour, which starts at node
+    0, is then read back one node at a time from the full mask: each step
+    recomputes, with the same additions, the candidates of its state over
+    every k (+inf where k is not in the predecessor) and takes their
+    ``ndarray.argmin``, the first minimum, so ties go to the smallest
     predecessor node, as in a loop over the subsets.
 
-    The index tables of each layer depend only on n; they are built on the
-    first call for that n and cached, frozen, for later calls (about 2.6 MiB
-    at n = TSP_EXACT_MAX = 15).  The table of partial lengths takes
-    8 (n - 1) 2^(n-1) bytes, 1.75 MiB at n = 15.
+    The tables depend only on n; they are built on the first call for that n
+    and cached, frozen, for later calls (13.125 MiB at n = TSP_EXACT_MAX =
+    15).  The partial lengths take 8 (n - 1) 2^(n-2) bytes, 0.875 MiB at
+    n = 15, and the two candidate temporaries of the widest layer 2.6 MiB.
     """
     n = typed(ps, PointSet, "ps").n
     if n < 3 or n > TSP_EXACT_MAX:
@@ -180,30 +212,32 @@ def tsp_exact(ps):
     dist = _distances(ps.points)
     m = n - 1  # nodes 1..n-1, anchored at node 0
     sub = np.ascontiguousarray(dist[1:, 1:])
+    leg = sub.reshape(-1)
     first_leg = dist[0, 1:]
-    full = 1 << m
-    dp = np.empty((m, full))
-    dp.fill(np.inf)
-    nodes = np.arange(m)
-    dp[nodes, 1 << nodes] = first_leg
-    flat_dp = dp.reshape(-1)
-    for slot, prev, end in _held_karp_layers(m):
-        cand = dp.take(prev, axis=1)
-        cand += sub.take(end, axis=1)
-        flat_dp[slot] = np.minimum.reduce(cand, axis=0)
-    j = int((dp[:, full - 1] + first_leg).argmin())
+    number, layers = _held_karp_layers(m)
+    dp = np.empty((m << (m - 1)) + 1)  # one slot per state, then the sentinel
+    dp[:m] = first_leg
+    dp[-1] = np.inf
+    start = m
+    for pred, edge in layers:
+        stop = start + pred.shape[1]
+        # fancy indexing gathers by an intp array faster than ``take`` does
+        cand = dp[pred]
+        cand += leg[edge]
+        np.minimum.reduce(cand, axis=0, out=dp[start:stop])
+        start = stop
+    mask = (1 << m) - 1
+    j = int((dp[number[mask]] + first_leg).argmin())
     order = [j + 1]
-    mask = full - 1
     while mask != 1 << j:  # a singleton is the first leg
         mask ^= 1 << j
-        j = int((dp[:, mask] + sub[:, j]).argmin())
+        j = int((dp[number[mask]] + sub[:, j]).argmin())
         order.append(j + 1)
     order.append(0)
     order.reverse()
     # the witness is a tour by construction, so its length skips the check
-    return FunctionalValue(
-        _edges_length(ps.points, order, order[1:] + order[:1]), tuple(order)
-    )
+    order = tuple(order)
+    return FunctionalValue(_edges_length(ps.points, *_tour_edges(order)), order)
 
 
 @lru_cache(maxsize=None)
@@ -319,10 +353,15 @@ def scaling_coupling(ps, alpha, r, kind, density):
     Returns (base value, scaled value, tv_bound), with eps = alpha / sqrt(n).
     ``kind`` is ``tsp-exact`` or ``matching-exact``, and the points are solved
     once: the scaled value is the length of the base witness on the shrunk
-    points.  The certificate stays rigorous.  Write L'(s) for the length of
-    witness s on the shrunk points, X for the base optimum and Y = min_s L'(s)
-    for the shrunk one.  Then Y' = L'(s_X) >= Y, so the certified gap X - Y'
-    is at most |X - Y|, and {X - Y' <= delta} contains {|X - Y| <= delta}: the
+    points, ``_edges_length`` of its edges on ``points * (1.0 / (1.0 + eps))``.
+    That is the product ``ps.scaled`` forms with the same factor, so the value
+    is ``tour_length`` or ``matching_length`` of the witness on the shrunk
+    copy, less the cover check, which a witness the solver built needs not.
+
+    The certificate stays rigorous.  Write L'(s) for the length of witness s
+    on the shrunk points, X for the base optimum and Y = min_s L'(s) for the
+    shrunk one.  Then Y' = L'(s_X) >= Y, so the certified gap X - Y' is at
+    most |X - Y|, and {X - Y' <= delta} contains {|X - Y| <= delta}: the
     closeness indicator can only be conservative.  In exact arithmetic every
     tour and matching scales by 1/(1 + eps), so s_X is optimal on the shrunk
     points and Y' = Y.
@@ -342,13 +381,14 @@ def scaling_coupling(ps, alpha, r, kind, density):
         raise SizeError(f"scaling_coupling needs n >= 2 points, got {n}")
     r = real(r, "degree r", 0)
     eps = real(real(alpha, "alpha") / math.sqrt(n), "alpha / sqrt(n)", 0, 0.5, "[)")
-    shrunk = ps.scaled(1.0 / (1.0 + eps))
     if kind == "tsp-exact":
-        solve, length = tsp_exact, tour_length
+        base = tsp_exact(ps)
+        edges = _tour_edges(base.witness)
     else:
-        solve, length = matching_exact, matching_length
-    base = solve(ps)
-    rescaled = FunctionalValue(length(shrunk, base.witness), base.witness)
+        base = matching_exact(ps)
+        edges = zip(*base.witness)
+    shrunk = ps.points * (1.0 / (1.0 + eps))
+    rescaled = FunctionalValue(_edges_length(shrunk, *edges), base.witness)
     identity_value = base.value / (1.0 + eps) ** r
     tol = 1e-9 * max(1.0, abs(identity_value))
     if not abs(rescaled.value - identity_value) <= tol:  # NaN fails it too

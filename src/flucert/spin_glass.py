@@ -107,12 +107,16 @@ def result_from_energies(energies, beta):
     if energies.size == 0:
         raise ShapeError("energy table must be non-empty")
     top = beta * float(energies.max())
-    # one exp pass gives both: free = log sum exp(beta E) and the Gibbs weights
-    weights = np.exp(beta * energies - top)
+    # one exp pass gives both: free = log sum exp(beta E) and the Gibbs
+    # weights, in one temporary that each later step overwrites in place
+    weights = np.multiply(energies, beta)
+    weights -= top
+    np.exp(weights, out=weights)
     total = weights.sum()
+    weights /= total
     return SKResult(
         free_energy=float(top + math.log(total)),
-        gibbs_energy=float((weights / total) @ energies),
+        gibbs_energy=float(weights @ energies),
     )
 
 

@@ -227,6 +227,17 @@ def test_layer_tables_are_frozen_and_shared(solver, layers, n, key):
         np.testing.assert_array_equal(table, copy)
 
 
+def test_held_karp_tables_within_stated_memory():
+    # the docstring's figure for the largest cached size, m = TSP_EXACT_MAX - 1
+    stated = 13.125
+    assert f"{stated} MiB at m = TSP_EXACT_MAX - 1" in " ".join(
+        _held_karp_layers.__doc__.split()
+    )
+    tables = leaves(_held_karp_layers(TSP_EXACT_MAX - 1))
+    assert len(tables) == 1 + 2 * (TSP_EXACT_MAX - 2)  # number, then two per layer
+    assert sum(table.nbytes for table in tables) <= stated * 2**20
+
+
 def exactly_symmetric(ps):
     dist = distance_matrix(ps)
     return bool((dist == dist.T).all())
@@ -505,25 +516,37 @@ class TestScalingCoupling:
             scaling_coupling(ps, 0.5, 1, kind, f)
 
     @pytest.mark.parametrize(
-        "kind, length",
-        [("tsp-exact", "tour_length"), ("matching-exact", "matching_length")],
-        ids=["tsp_exact", "matching_exact"],
+        "kind", ["tsp-exact", "matching-exact"], ids=["tsp_exact", "matching_exact"]
     )
     @pytest.mark.parametrize("corrupt", [math.nan, 1e-7], ids=["nan", "rel1e-7"])
-    def test_corrupt_rescaled_stacked_result_detected(
-        self, monkeypatch, kind, length, corrupt
-    ):
+    def test_corrupt_rescaled_stacked_result_detected(self, monkeypatch, kind, corrupt):
         # the homogeneity check must stay independent of the witness length
-        # that gives the rescaled value
-        measure = getattr(euclidean, length)
+        # that gives the rescaled value: corrupt that length alone, the one
+        # ``_edges_length`` takes on the shrunk coordinates
+        ps = random_points(8, 28)
+        measure = euclidean._edges_length
+        shrunk = []
 
-        def corrupt_length(ps, witness):
-            value = measure(ps, witness)
+        def corrupt_length(points, tails, heads):
+            value = measure(points, tails, heads)
+            if points is ps.points:  # the solver's length of its own witness
+                return value
+            shrunk.append(points)
             return math.nan if math.isnan(corrupt) else value * (1 + corrupt)
 
-        monkeypatch.setattr(euclidean, length, corrupt_length)
+        monkeypatch.setattr(euclidean, "_edges_length", corrupt_length)
         with pytest.raises(InternalConsistencyError, match=f"^{kind} is not homogeneous"):
-            scaling_coupling(random_points(8, 28), 0.5, 1, kind, GAUSS)
+            scaling_coupling(ps, 0.5, 1, kind, GAUSS)
+        assert len(shrunk) == 1
+
+    @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact"])
+    def test_points_unchanged(self, kind):
+        # the shrunk coordinates are a new array, not the caller's scaled in
+        # place
+        ps = random_points(8, 30)
+        before = ps.points.copy()
+        scaling_coupling(ps, 0.5, 1, kind, GAUSS)
+        assert ps.points.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kind", ["tsp-exact", "matching-exact"])
     def test_solvers_called_through_module_names(self, monkeypatch, kind):

@@ -162,6 +162,17 @@ class TestFreeEnergy:
         weights /= weights.sum()
         assert res.gibbs_energy == float(weights @ energies)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_tables_unchanged(self, beta):
+        # the weights are one temporary worked in place, never a caller's table
+        dis = random_disorder(8, 17)
+        energies = enumerate_energies(dis)
+        scaled = enumerate_energies(scale_disorder(dis, 0.5))
+        before = energies.tobytes(), scaled.tobytes()
+        result_from_energies(energies, beta)
+        jensen_gap_check(dis, 0.5, beta, energies, scaled)
+        assert (energies.tobytes(), scaled.tobytes()) == before
+
     def test_free_energy_lower_bounds(self):
         energies = enumerate_energies(random_disorder(9, 8))
         for beta in (0.0, 0.7, 1.5):
