@@ -134,198 +134,196 @@ def _subsets(k):
     return masks, popcount, trailing
 
 
-def _frozen(*tables):
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+def _layer(start, pred, edge):
+    """A layer of ``_min_plus``: its first state and two frozen intp tables."""
+    pred, edge = (np.ascontiguousarray(t, dtype=np.intp) for t in (pred, edge))
+    pred.flags.writeable = edge.flags.writeable = False
+    return start, pred, edge
+
+
+def _min_plus(leg, layers):
+    """Relax the layers of a min-plus DP in order; return their candidates.
+
+    The states are numbered layer by layer.  State 0, of length 0, comes
+    first, and the last layer holds one state, the optimum.  A layer is
+    (start, pred, edge) and numbers its L states from start.  ``pred`` and
+    ``edge`` are (width, L) intp tables, one column per state: the numbers of
+    the state's predecessors, all in earlier layers, and the index in the
+    flat table ``leg`` of the leg each one adds.  Short columns are padded
+    with the sentinel, one past the last state, whose length is +inf.
+
+    Per layer, ``dp[pred] + leg[edge]`` is the table of candidates, and its
+    column minima are the lengths of the layer's states: the minimum of the
+    same finite sums that a loop over the candidates takes.  The candidate
+    tables are returned for ``_read_back``, 8 bytes per candidate.
+    """
+    dp = np.empty(layers[-1][0] + 2)  # every state, then the sentinel
+    dp[0] = 0.0
+    dp[-1] = np.inf
+    cands = []
+    for start, pred, edge in layers:
+        # fancy indexing gathers by an intp array faster than ``take`` does
+        cand = dp[pred]
+        cand += leg[edge]
+        np.minimum.reduce(cand, axis=0, out=dp[start : start + pred.shape[1]])
+        cands.append(cand)
+    return cands
+
+
+def _read_back(layers, cands):
+    """The ``leg`` indices of the optimum of ``_min_plus``, first leg first.
+
+    From the last state down, each step takes ``ndarray.argmin`` of the
+    state's column of candidates, the first minimum, and moves to that
+    predecessor.  So a tie goes to the predecessor listed first in its
+    column, which each layer builder lists in the order a loop over the
+    states tries them.
+    """
+    state = layers[-1][0]
+    legs = []
+    for (start, pred, edge), cand in zip(layers[::-1], cands[::-1]):
+        col = state - start
+        row = cand[:, col].argmin()
+        legs.append(int(edge[row, col]))
+        state = int(pred[row, col])
+    legs.reverse()
+    return legs
 
 
 @lru_cache(maxsize=None)
 def _held_karp_layers(m):
-    """Candidate tables of the Held-Karp DP over m nodes.
+    """Layers of the Held-Karp DP for a tour of n = m + 1 points.
 
-    The states (mask, j), j in mask, are numbered layer by layer, and within
-    a layer by mask and then j, both ascending: the m singletons (1 << j, j)
-    are states 0..m-1, and the m states of the full mask come last, in order
-    of j.  Returns (number, layers).  ``number[mask, k]`` is the number of
-    state (mask, k), or the sentinel m 2^(m-1), one past the last state, when
-    k is not in mask.  ``layers`` holds, for s = 2..m, two frozen
-    (s - 1, L_s) intp tables over the L_s = C(m, s) s states of popcount s:
-    the number of each feasible predecessor (mask ^ 1 << j, k), k ascending
-    down a column, and the flat index k m + j of its last leg in the (m, m)
-    distance table.  So the DP gathers m (m - 1) 2^(m-2) candidates in all,
-    against m^2 (2^(m-1) - 1) over every k: 9,216 against 20,655 at m = 9.
+    State 0 stands at point 0.  State (mask, j), j in mask, is the shortest
+    path from point 0 through the points of mask (point k + 1 as bit k) that
+    ends at point j + 1.  Layer s holds the states with s points in mask, by
+    mask and then j, both ascending; a last layer of one state closes the
+    tour at point 0.  A column lists its predecessors by end point,
+    ascending: state 0 for a singleton, (mask ^ 1 << j, k) over the s - 1
+    points k of mask ^ 1 << j, and the m states of the full mask for the
+    closing state.  Each edge is the flat index tail n + head, in the (n, n)
+    distance table, of the leg from the predecessor's end to the state's
+    (the table is exactly symmetric, so the closing leg has the length of
+    the first).  So ``_read_back`` returns the legs of the tour, in order.
 
-    The tables depend on m alone and take 8 m 2^m + 16 m (m - 1) 2^(m-2)
-    bytes, 13.125 MiB at m = TSP_EXACT_MAX - 1 = 14; the size checks in
-    ``tsp_exact`` bound the cache to TSP_EXACT_MAX - 2 entries.
+    Layers 2..m gather m (m - 1) 2^(m-2) candidates, against
+    m^2 (2^(m-1) - 1) over every k.  The tables depend on m alone and take
+    16 bytes per candidate, 11.375 MiB at m = TSP_EXACT_MAX - 1 = 14; the
+    size checks in ``tsp_exact`` bound the cache to TSP_EXACT_MAX - 2
+    entries.  Each call keeps its candidate tables, 5.688 MiB at m = 14 and
+    72.141 KiB at m = 9, and the lengths of the states, 0.875 MiB at m = 14.
     """
+    n = m + 1
     masks, popcount, _ = _subsets(m)
     nodes = np.arange(m)
-    number = np.full((1 << m, m), m << (m - 1), dtype=np.intp)
-    number[1 << nodes, nodes] = nodes
-    start = m
-    layers = []
-    for size in range(2, m + 1):  # the caller seeds the singletons' lengths
+    number = np.empty((1 << m, m), dtype=np.intp)  # the state (mask, j)
+    number[1 << nodes, nodes] = 1 + nodes
+    layers = [_layer(1, np.zeros((1, m), dtype=np.intp), 1 + nodes[None])]
+    start = 1 + m
+    for size in range(2, m + 1):
         layer = masks[popcount == size]
         row, end = np.nonzero((layer[:, None] >> nodes) & 1)
         mask = layer[row]
         number[mask, end] = np.arange(start, start + mask.size)
-        start += mask.size
         prev = mask ^ (1 << end)
-        # each predecessor has size - 1 nodes, listed ascending per row
+        # each predecessor has size - 1 points, listed ascending per row
         pred_node = np.nonzero((prev[:, None] >> nodes) & 1)[1]
         pred_node = pred_node.reshape(mask.size, size - 1).T
-        layers.append(
-            _frozen(
-                np.ascontiguousarray(number[prev, pred_node]),
-                np.ascontiguousarray(pred_node * m + end),
-            )
-        )
-    return _frozen(number)[0], tuple(layers)
+        edge = (pred_node + 1) * n + (end + 1)
+        layers.append(_layer(start, number[prev, pred_node], edge))
+        start += mask.size
+    # the closing leg j + 1 -> 0 from each state of the full mask, j ascending
+    j = nodes[:, None]
+    layers.append(_layer(start, start - m + j, (j + 1) * n))
+    return tuple(layers)
 
 
 def tsp_exact(ps):
     """Optimal closed tour of a point set by the Held-Karp subset DP.
 
-    dp(mask, j) is the shortest path from node 0 through the nodes of mask
-    (nodes 1..n-1 as bits 0..n-2) that ends at node j.  One vectorized step
-    per popcount layer relaxes every state (mask, j) of the layer at once:
-    it gathers, through ``_held_karp_layers``'s tables, the candidates
-    dp(mask ^ 1 << j, k) + dist[k, j] over the nodes k of the predecessor
-    only, and keeps their minimum.  A minimum of the same finite sums, so the
-    values are those of a loop over every k.  The tour, which starts at node
-    0, is then read back one node at a time from the full mask: each step
-    recomputes, with the same additions, the candidates of its state over
-    every k (+inf where k is not in the predecessor) and takes their
-    ``ndarray.argmin``, the first minimum, so ties go to the smallest
-    predecessor node, as in a loop over the subsets.
-
-    The tables depend only on n; they are built on the first call for that n
-    and cached, frozen, for later calls (13.125 MiB at n = TSP_EXACT_MAX =
-    15).  The partial lengths take 8 (n - 1) 2^(n-2) bytes, 0.875 MiB at
-    n = 15, and the two candidate temporaries of the widest layer 2.6 MiB.
+    ``_min_plus`` relaxes the layers of ``_held_karp_layers(n - 1)`` over
+    the distance table, one vectorized step per layer, and ``_read_back``
+    returns the legs of the tour from point 0.  A tie goes to the smallest
+    predecessor point, as in a loop over the subsets.  The tables depend
+    only on n; they are built on the first call for that n and cached,
+    frozen, for later calls.  The value is the length of the tour by
+    ``_edges_length``.
     """
     n = typed(ps, PointSet, "ps").n
     if n < 3 or n > TSP_EXACT_MAX:
         raise SizeError(f"tsp_exact supports 3 <= n <= {TSP_EXACT_MAX}, got {n}")
-    dist = _distances(ps.points)
-    m = n - 1  # nodes 1..n-1, anchored at node 0
-    sub = np.ascontiguousarray(dist[1:, 1:])
-    leg = sub.reshape(-1)
-    first_leg = dist[0, 1:]
-    number, layers = _held_karp_layers(m)
-    dp = np.empty((m << (m - 1)) + 1)  # one slot per state, then the sentinel
-    dp[:m] = first_leg
-    dp[-1] = np.inf
-    start = m
-    for pred, edge in layers:
-        stop = start + pred.shape[1]
-        # fancy indexing gathers by an intp array faster than ``take`` does
-        cand = dp[pred]
-        cand += leg[edge]
-        np.minimum.reduce(cand, axis=0, out=dp[start:stop])
-        start = stop
-    mask = (1 << m) - 1
-    j = int((dp[number[mask]] + first_leg).argmin())
-    order = [j + 1]
-    while mask != 1 << j:  # a singleton is the first leg
-        mask ^= 1 << j
-        j = int((dp[number[mask]] + sub[:, j]).argmin())
-        order.append(j + 1)
-    order.append(0)
-    order.reverse()
-    # the witness is a tour by construction, so its length skips the check
-    order = tuple(order)
+    layers = _held_karp_layers(n - 1)
+    cands = _min_plus(_distances(ps.points).reshape(-1), layers)
+    order = tuple(leg // n for leg in _read_back(layers, cands))
     return FunctionalValue(_edges_length(ps.points, *_tour_edges(order)), order)
 
 
 @lru_cache(maxsize=None)
 def _matching_layers(n):
-    """Index tables of the matching DP over n points, one per popcount 2L.
+    """Layers of the matching DP over n points.
 
     The DP always pairs the lowest unmatched point, so the only subsets it
     reaches are those whose run of trailing ones t is at least half their
-    size, and the last pair (i, j) added to such a subset has i < t and j > i
-    in it.  Layer L lists the reached subsets of size 2L and, per subset, a
-    row of candidate (predecessor subset, flat index i * n + j of the pair
-    distance) sorted by predecessor.  Candidates whose predecessor is never
-    reached are left out; rows are padded to the layer's widest with the
-    sentinel predecessor 2^n, whose dp slot holds +inf.  The raveled
-    predecessors and the flat start ``row * width`` of each row follow.  The
-    arrays are frozen; the size checks in ``matching_exact`` bound the cache
-    to MATCHING_MAX // 2 entries.
+    size.  They are its states, by size and then mask, ascending: the empty
+    set is state 0, and the full set is the last state.  The last pair
+    (i, j) added to such a subset has i < t and j > i in it, and its
+    predecessor subset is reached when i >= size/2 - 1; the other pairs are
+    left out.  A column lists the pairs by predecessor subset, ascending,
+    and each edge is the flat index i n + j in the (n, n) distance table.
+
+    The tables depend on n alone and take 16 bytes per candidate, 0.295 MiB
+    at n = MATCHING_MAX = 16; the size checks in ``matching_exact`` bound
+    the cache to MATCHING_MAX // 2 entries.  Each call keeps its candidate
+    tables, 0.148 MiB at n = 16 and 13.172 KiB at n = 12.
     """
-    full = 1 << n
     masks, popcount, trailing = _subsets(n)
+    reached = (popcount % 2 == 0) & (2 * trailing >= popcount)
+    states = masks[reached][np.argsort(popcount[reached], kind="stable")]
+    number = np.empty_like(masks)
+    number[states] = np.arange(states.size)
     # pairs (i, j), i < j, by decreasing j then i: decreasing pair bits, so
     # increasing predecessor subset
     second, first = (index[::-1] for index in np.tril_indices(n, -1))
     bits = (1 << first) | (1 << second)
     layers = []
     for half in range(1, n // 2 + 1):
-        reached = (popcount == 2 * half) & (trailing >= half)
-        new = masks[reached]
+        new = masks[(popcount == 2 * half) & (trailing >= half)]
         valid = (
             ((new[:, None] & bits) == bits)
-            & (first < trailing[reached][:, None])
+            & (first < trailing[new][:, None])
             & (first >= half - 1)  # the predecessor is reached too
         )
         row, col = np.nonzero(valid)
         at = np.cumsum(valid, axis=1)[row, col] - 1  # keeps the pair order
-        width = int(at.max()) + 1
-        pred = np.full((new.size, width), full)
-        pred[row, at] = new[row] ^ bits[col]
-        pair = np.zeros((new.size, width), dtype=int)
-        pair[row, at] = first[col] * n + second[col]
-        rows = np.arange(new.size) * width
-        layers.append(_frozen(new, pred, pair, pred.ravel(), rows))
+        pred = np.full((at.max() + 1, new.size), states.size)  # the sentinel
+        pred[at, row] = number[new[row] ^ bits[col]]
+        edge = np.zeros_like(pred)
+        edge[at, row] = first[col] * n + second[col]
+        layers.append(_layer(int(number[new[0]]), pred, edge))
     return tuple(layers)
 
 
 def matching_exact(ps):
     """Minimum-weight perfect matching of a point set by bitmask DP.
 
-    Every step pairs the lowest unmatched point.  One vectorized step per
-    popcount layer computes dp[subset] as the minimum over its candidate last
-    pairs of dp[predecessor] + dist[i, j], with the candidates ordered by
-    predecessor subset so that ``ndarray.argmin`` keeps the smallest
-    predecessor among equal costs, and records that predecessor; the matching
-    is read back from the full subset.  Its value is the sum, in witness
+    ``_min_plus`` relaxes the layers of ``_matching_layers(n)`` over the
+    distance table, one vectorized step per layer, and ``_read_back``
+    returns the pairs in the order the matching was built.  A tie goes to
+    the smallest predecessor subset, as in a loop over the subsets.  The
+    tables depend only on n; they are built on the first call for that n
+    and cached, frozen, for later calls.  The value is the sum, in witness
     order, of the pair distances the DP minimised, as ``matching_length``
     would give it.
-
-    The index tables depend only on n; they are built on the first call for
-    that n and cached, frozen, for later calls (about 0.3 MiB at
-    n = MATCHING_MAX = 16).
     """
     n = typed(ps, PointSet, "ps").n
     if n % 2 != 0 or n < 2 or n > MATCHING_MAX:
         raise SizeError(
             f"matching_exact supports even 2 <= n <= {MATCHING_MAX}, got {n}"
         )
-    pair_dist = _distances(ps.points).reshape(-1)
-    full = 1 << n
-    dp = np.empty(full + 1)
-    dp.fill(np.inf)  # slot 2^n is the padding sentinel
-    dp[0] = 0.0
-    prev = np.zeros(full, dtype=np.int64)
-    for new, pred, pair, flat_pred, rows in _matching_layers(n):
-        cand = dp[pred]
-        cand += pair_dist[pair]
-        at = cand.argmin(1) + rows
-        dp[new] = cand.ravel()[at]
-        prev[new] = flat_pred[at]
-    pairs = []
-    mask = full - 1
-    while mask:
-        before = int(prev[mask])
-        pair = mask ^ before
-        low = pair & -pair
-        pairs.append((low.bit_length() - 1, (pair ^ low).bit_length() - 1))
-        mask = before
-    pairs.reverse()
-    return FunctionalValue(_edges_length(ps.points, *zip(*pairs)), tuple(pairs))
+    layers = _matching_layers(n)
+    cands = _min_plus(_distances(ps.points).reshape(-1), layers)
+    pairs = tuple(divmod(leg, n) for leg in _read_back(layers, cands))
+    return FunctionalValue(_edges_length(ps.points, *zip(*pairs)), pairs)
 
 
 def nn_sum(ps):

@@ -35,6 +35,7 @@ from flucert.euclidean import (
     _distances,
     _held_karp_layers,
     _matching_layers,
+    _min_plus,
     _RegionGrid,
 )
 from flucert.rng import _TOP as TOP, seed_stream, uniform_open
@@ -155,10 +156,10 @@ class TestTspExact:
             assert (res.value, res.witness) == held_karp_loop(ps)
 
     def test_matches_held_karp_loop_on_ties(self):
-        # a lattice has many equal-length partial tours, so the tie rule shows
-        for side in (2, 3):
-            grid = np.indices((side, side + 1)).reshape(2, -1).T.astype(float)
-            ps = PointSet(2, grid)
+        # a lattice has many equal-length partial tours, so the tie rule shows;
+        # 3 x 5 is at the cap
+        for rows, cols in ((2, 3), (3, 4), (3, 5)):
+            ps = lattice(rows, cols)
             res = tsp_exact(ps)
             assert (res.value, res.witness) == held_karp_loop(ps)
 
@@ -190,9 +191,11 @@ INSTANCES = {
 
 
 def leaves(tables):
-    """Every array in a nest of tuples."""
+    """Every array in a nest of tuples, less the ints (a layer's start)."""
     if isinstance(tables, np.ndarray):
         return [tables]
+    if isinstance(tables, int):
+        return []
     return [leaf for table in tables for leaf in leaves(table)]
 
 
@@ -227,15 +230,45 @@ def test_layer_tables_are_frozen_and_shared(solver, layers, n, key):
         np.testing.assert_array_equal(table, copy)
 
 
+UNITS = {"KiB": 2**10, "MiB": 2**20}
+
+
+def assert_stated(layers, phrase, nbytes):
+    """``phrase``, such as "0.295 MiB at n = 16", is in the docstring of
+    ``layers``, and its figure is ``nbytes`` rounded to three decimals."""
+    assert phrase in " ".join(layers.__doc__.split())
+    figure, unit = phrase.split()[:2]
+    assert round(nbytes / UNITS[unit], 3) == float(figure)
+
+
+def kept_bytes(layers):
+    """The bytes of the candidate tables that ``_min_plus`` keeps for the
+    read-back, on a leg table as long as the layers index."""
+    leg = np.ones(1 + max(int(edge.max()) for _, _, edge in layers))
+    return sum(cand.nbytes for cand in _min_plus(leg, layers))
+
+
 def test_held_karp_tables_within_stated_memory():
-    # the docstring's figure for the largest cached size, m = TSP_EXACT_MAX - 1
-    stated = 13.125
-    assert f"{stated} MiB at m = TSP_EXACT_MAX - 1" in " ".join(
-        _held_karp_layers.__doc__.split()
-    )
-    tables = leaves(_held_karp_layers(TSP_EXACT_MAX - 1))
-    assert len(tables) == 1 + 2 * (TSP_EXACT_MAX - 2)  # number, then two per layer
-    assert sum(table.nbytes for table in tables) <= stated * 2**20
+    # the cached tables at the largest cached size, m = TSP_EXACT_MAX - 1, and
+    # the candidates a call keeps there and at the benchmark's n = 10
+    layers = _held_karp_layers(TSP_EXACT_MAX - 1)
+    assert len(layers) == TSP_EXACT_MAX  # one per popcount, then the closing
+    tables = sum(table.nbytes for table in leaves(layers))
+    assert_stated(_held_karp_layers, "11.375 MiB at m = TSP_EXACT_MAX - 1", tables)
+    assert_stated(_held_karp_layers, "5.688 MiB at m = 14", kept_bytes(layers))
+    small = kept_bytes(_held_karp_layers(9))
+    assert_stated(_held_karp_layers, "72.141 KiB at m = 9", small)
+
+
+def test_matching_tables_within_stated_memory():
+    # the same figures for the matching DP at its cap and the benchmark's n = 12
+    layers = _matching_layers(MATCHING_MAX)
+    assert len(layers) == MATCHING_MAX // 2  # one per pair added
+    tables = sum(table.nbytes for table in leaves(layers))
+    assert_stated(_matching_layers, "0.295 MiB at n = MATCHING_MAX", tables)
+    assert_stated(_matching_layers, "0.148 MiB at n = 16", kept_bytes(layers))
+    small = kept_bytes(_matching_layers(12))
+    assert_stated(_matching_layers, "13.172 KiB at n = 12", small)
 
 
 def exactly_symmetric(ps):
@@ -303,10 +336,10 @@ class TestMatching:
             assert (res.value, res.witness) == matching_loop(ps)
 
     def test_matches_matching_loop_on_ties(self):
-        # a lattice has many equal-length pairings, so the tie rule shows
-        for width in (4, 6):
-            grid = np.indices((2, width)).reshape(2, -1).T.astype(float)
-            ps = PointSet(2, grid)
+        # a lattice has many equal-length pairings, so the tie rule shows;
+        # 2 x 8 and 4 x 4 are at the cap
+        for rows, cols in ((2, 4), (2, 6), (2, 8), (4, 4)):
+            ps = lattice(rows, cols)
             res = matching_exact(ps)
             assert (res.value, res.witness) == matching_loop(ps)
 
@@ -519,7 +552,7 @@ class TestScalingCoupling:
         "kind", ["tsp-exact", "matching-exact"], ids=["tsp_exact", "matching_exact"]
     )
     @pytest.mark.parametrize("corrupt", [math.nan, 1e-7], ids=["nan", "rel1e-7"])
-    def test_corrupt_rescaled_stacked_result_detected(self, monkeypatch, kind, corrupt):
+    def test_corrupt_rescaled_length_detected(self, monkeypatch, kind, corrupt):
         # the homogeneity check must stay independent of the witness length
         # that gives the rescaled value: corrupt that length alone, the one
         # ``_edges_length`` takes on the shrunk coordinates
