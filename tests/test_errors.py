@@ -1,29 +1,41 @@
 """Every size, count and index enters through ``errors.whole``, every scalar
-real parameter through ``errors.real``, and every float array through
-``errors.reals``.
+real parameter through ``errors.real``, every float array through
+``errors.reals`` and every argument of a library type through ``errors.typed``.
+This file tests each entry check once: one table of entries per check, and
+further tables for the overflow bounds and the exact solvers' size caps.
 
-One table lists each entry point that takes a count, as a call of the count
-alone, with a value it accepts and an integer just outside its range.  Each
-entry must reject a non-integral, boolean or out-of-range count with a
-``DomainError`` that names the argument, and accept NumPy integers.  A second
-table does the same for the real parameters: each entry must reject a bool, a
-str, None, an array, NaN and a value outside its interval with a
-``DomainError`` that names the argument, and accept Python and NumPy numbers.
-A third table lists the entry points that take a float array, with an array
-each accepts.  Each must reject one NaN or infinite entry, and a bool,
-complex, str, object, None or ragged input, with a ``DomainError`` that names
-the argument; reject an array with an extra axis with a ``ShapeError`` that
-names it; and accept nested lists of ints.
+Each row of the first three tables states the interval its argument admits,
+written as the check takes one, and every row probes that whole interval: each
+finite end itself, admitted if the end is closed and rejected if it is open; the
+nearest value beyond each finite end, rejected; the nearest value inside each
+open end, admitted; and, for a real, each infinity, rejected unless a closed
+end admits it.  A rejection is a ``DomainError`` that names the argument.  A
+value is admitted when no ``DomainError`` comes, so a later shape or region
+error still shows that the checks let it through.
+
+The first table lists each entry point that takes a count, as a call of the
+count alone, with a value it accepts and its interval [low, high).  Each entry
+must reject a non-integral, boolean or infinite count and accept NumPy
+integers.  The second table does the same for the real parameters: each entry
+must reject a bool, a str, None, an array and NaN, and accept Python and NumPy
+numbers.  The third table lists the entry points that take a float array, with
+an array each accepts and the interval of its entries.  Each must reject one
+NaN or infinite entry, and a bool, complex, str, object, None or ragged input,
+with a ``DomainError`` that names the argument; reject an array with an extra
+axis, or one entry too few on its last axis where that length is fixed, with a
+``ShapeError`` that names it; and accept nested lists of ints.
 
 The interval each entry type passes to ``reals`` is its overflow bound.  A
-table of the six bounded types (points, couplings, energies, covariance
-inputs, FPP weights, costs) builds each at its stated bound and solves it
-with warnings as errors, and one ulp above the bound expects a
-``DomainError`` naming the array.  Inputs that once overflowed downstream
-(with a warning, an inf result or an error one call deeper) must be rejected
-at entry the same way, as must covariance inputs whose squares overflow.
+table of the eight bounded inputs builds each at both ends of its interval and
+solves it with warnings as errors, and expects a ``DomainError`` naming the
+array just beyond each end.  Inputs that once overflowed downstream (with a
+warning, an inf result or an error one call deeper) must be rejected at entry
+the same way, as must covariance inputs whose squares overflow.
 
-A fourth table lists every argument that must be of a library type (a
+A table of the six exact solvers' size caps gives the sizes each admits and
+the nearest it must reject with a ``SizeError``.
+
+The fourth table lists every argument that must be of a library type (a
 ``PointSet``, a ``Density1D``, a cost matrix, a grid, a schedule, a
 geodesic, a disorder, a covariance spec, a plan, a Rhee coupling), through
 ``errors.typed``.  Each must reject None, a number, a str, an array, a nested
@@ -43,10 +55,54 @@ import pytest
 
 from flucert import assignment, coupling, densities, euclidean, fpp, random_matrix
 from flucert import rng, spin_glass
-from flucert.errors import SAFE_SUM, DomainError, ShapeError, real, reals, whole
+from flucert.errors import (
+    SAFE_SUM,
+    CertToolError,
+    DomainError,
+    InequalityViolationError,
+    ShapeError,
+    SizeError,
+    real,
+    reals,
+    whole,
+)
 
 EXPO = densities.standard_density("exponential-rate-1")
 GAUSS = densities.standard_density("std-gaussian")
+
+
+def check_probes(call, probes, rejection):
+    """For each (value, admitted) probe: an admitted value passes the entry
+    checks, so any error it meets is not a ``DomainError``; any other value
+    raises a ``DomainError`` matching ``rejection``."""
+    for value, admitted in probes:
+        if not admitted:
+            with pytest.raises(DomainError, match=rejection):
+                call(value)
+            continue
+        try:
+            call(value)
+        except DomainError as err:
+            pytest.fail(f"{value!r} rejected: {err}")
+        except CertToolError:
+            pass  # a shape or region error comes after the entry checks
+
+
+def near_ends(low, high, ends):
+    """(value, admitted) beside each finite end of a real interval: the end,
+    admitted if closed; the nearest double beyond it; and, if the end is
+    open, the nearest double inside it."""
+    probes = []
+    for end, bracket, outward in ((low, ends[0], -math.inf), (high, ends[1], math.inf)):
+        if math.isfinite(end):
+            probes += [(end, bracket in "[]"), (math.nextafter(end, outward), False)]
+            if bracket in "()":
+                probes.append((math.nextafter(end, -outward), True))
+    return probes
+
+
+def symmetric(bound):
+    return (-bound, bound, "[]")
 
 
 def grid(width=3, height=3, source=(0, 0), target=(2, 2), side=3):
@@ -58,39 +114,56 @@ def grid(width=3, height=3, source=(0, 0), target=(2, 2), side=3):
 BOX = grid(4, 4, (0, 0), (3, 3), side=4)
 GEODESIC = fpp.passage_time(BOX)  # 6 edges
 SCHEDULE = fpp.graded_schedule(BOX, 0.5, 12)
+POINTS = euclidean.PointSet(2, rng.uniform_open(rng.seed_stream(1), (16, 2)))
+TWO_POINTS, THREE_POINTS, SIX_POINTS = (
+    euclidean.PointSet(2, POINTS.points[:n]) for n in (2, 3, 6)
+)
 
-# (id, name in the message, call of the count, accepted value, out-of-range value)
+# (id, name in the message, call of the count, accepted value, the interval
+# [low, high) the count must lie in)
 ENTRIES = [
-    ("seed_stream seed", "seed", lambda k: rng.seed_stream(k), 3, 2**64),
-    ("seed_stream replicate", "replicate", lambda k: rng.seed_stream(1, k), 3, 2**32),
+    ("seed_stream seed", "seed", lambda k: rng.seed_stream(k), 3, (0, 2**64)),
+    (
+        "seed_stream replicate",
+        "replicate",
+        lambda k: rng.seed_stream(1, k),
+        3,
+        (0, 2**32),
+    ),
     (
         "seed_stream coordinate",
         "coordinate",
         lambda k: rng.seed_stream(1, 0, k),
         3,
-        2**32,
+        (0, 2**32),
     ),
     (
         "bernoulli_mixing_coupling",
         "n",
         lambda k: coupling.bernoulli_mixing_coupling(k, 0.5, rng.seed_stream(1)),
         3,
-        0,
+        (1, math.inf),
     ),
-    ("bernoulli_exact_tv", "n", lambda k: coupling.bernoulli_exact_tv(k, 0.1), 3, 0),
+    (
+        "bernoulli_exact_tv",
+        "n",
+        lambda k: coupling.bernoulli_exact_tv(k, 0.1),
+        3,
+        (1, math.inf),
+    ),
     (
         "hoeffding_slack",
         "indicator count",
         lambda k: coupling.hoeffding_slack(k, 0.9),
         3,
-        0,
+        (1, math.inf),
     ),
     (
         "sample_iid",
         "n",
         lambda k: densities.sample_iid(EXPO, k, rng.seed_stream(1)),
         3,
-        0,
+        (1, math.inf),
     ),
     (
         "rhee_coupling_sample n",
@@ -99,7 +172,7 @@ ENTRIES = [
             k, 0.3, 0.5, rng.seed_stream(1), probes=500
         ),
         8,
-        7,
+        (8, math.inf),
     ),
     (
         "rhee_coupling_sample probes",
@@ -108,96 +181,144 @@ ENTRIES = [
             12, 0.3, 0.5, rng.seed_stream(1), probes=k
         ),
         500,
-        0,
+        (1, math.inf),
     ),
-    ("graded_schedule", "n", lambda k: fpp.graded_schedule(grid(), 0.5, k), 12, 4),
+    (
+        "graded_schedule",
+        "n",
+        lambda k: fpp.graded_schedule(grid(), 0.5, k),
+        12,
+        (5, math.inf),
+    ),
     (
         "ttq_lower_bound",
         "m",
         lambda k: fpp.ttq_lower_bound(GEODESIC, SCHEDULE, k),
         3,
-        7,
+        (0, 7),
     ),
-    ("SKDisorder", "n", lambda k: spin_glass.SKDisorder(k, np.zeros(3)), 3, 0),
-    ("CostMatrix", "n", lambda k: assignment.CostMatrix(k, np.ones((3, 3))), 3, 0),
-    ("FppGrid width", "width", lambda k: grid(width=k), 3, 1),
-    ("FppGrid height", "height", lambda k: grid(height=k), 3, 1),
-    ("FppGrid source x", "source x", lambda k: grid(source=(k, 0)), 1, 3),
-    ("FppGrid source y", "source y", lambda k: grid(source=(0, k)), 1, -1),
-    ("FppGrid target x", "target x", lambda k: grid(target=(k, 2)), 1, -1),
-    ("FppGrid target y", "target y", lambda k: grid(target=(2, k)), 1, 3),
-    ("PointSet", "dim", lambda k: euclidean.PointSet(k, np.zeros((2, 3))), 3, 0),
+    (
+        "SKDisorder",
+        "n",
+        lambda k: spin_glass.SKDisorder(k, np.zeros(3)),
+        3,
+        (1, math.inf),
+    ),
+    (
+        "CostMatrix",
+        "n",
+        lambda k: assignment.CostMatrix(k, np.ones((3, 3))),
+        3,
+        (1, math.inf),
+    ),
+    ("FppGrid width", "width", lambda k: grid(width=k), 3, (2, math.inf)),
+    ("FppGrid height", "height", lambda k: grid(height=k), 3, (2, math.inf)),
+    ("FppGrid source x", "source x", lambda k: grid(source=(k, 0)), 1, (0, 3)),
+    ("FppGrid source y", "source y", lambda k: grid(source=(0, k)), 1, (0, 3)),
+    ("FppGrid target x", "target x", lambda k: grid(target=(k, 2)), 1, (0, 3)),
+    ("FppGrid target y", "target y", lambda k: grid(target=(2, k)), 1, (0, 3)),
+    (
+        "PointSet",
+        "dim",
+        lambda k: euclidean.PointSet(k, np.zeros((2, 3))),
+        3,
+        (1, math.inf),
+    ),
     (
         "MatrixEnsembleSpec order",
         "order",
         lambda k: random_matrix.covariance_spec(k, 8),
         3,
-        0,
+        (1, math.inf),
     ),
     (
         "MatrixEnsembleSpec sample_count",
         "sample_count",
         lambda k: random_matrix.covariance_spec(1, k),
         3,
-        -1,
+        (2, math.inf),
     ),
     (
         "invert_perturbation",
         "n",
         lambda k: assignment.invert_perturbation(0.5, 1.0, k),
         3,
-        0,
+        (1, math.inf),
     ),
     (
         "perturbation_affinity",
         "n",
         lambda k: assignment.perturbation_affinity(EXPO, 0.1, k),
         3,
-        0,
+        (1, math.inf),
     ),
     (
         "row_tail_probability",
         "n",
         lambda k: assignment.row_tail_probability(EXPO, k),
         3,
-        0,
+        (1, math.inf),
+    ),
+    # k comes first, and the other indices complete a cover of the points
+    (
+        "tour_length index",
+        "tour index",
+        lambda k: euclidean.tour_length(THREE_POINTS, [k, *sorted({0, 1, 2} - {k})]),
+        1,
+        (0, 3),
+    ),
+    (
+        "matching_length index",
+        "matching index",
+        lambda k: euclidean.matching_length(TWO_POINTS, [(k, min({0, 1} - {k}))]),
+        1,
+        (0, 2),
     ),
 ]
 
 BAD_KINDS = {
-    "fraction": lambda good, out: 2.5,
-    "whole float": lambda good, out: 4.0,
-    "bool": lambda good, out: True,
-    "nan": lambda good, out: math.nan,
-    "inf": lambda good, out: math.inf,
-    "str": lambda good, out: "3",
-    "numpy float": lambda good, out: np.float64(good),
-    "out of range": lambda good, out: out,
+    "fraction": lambda good, interval: 2.5,
+    "whole float": lambda good, interval: 4.0,
+    "bool": lambda good, interval: True,
+    "nan": lambda good, interval: math.nan,
+    "inf": lambda good, interval: math.inf,
+    "-inf": lambda good, interval: -math.inf,
+    "str": lambda good, interval: "3",
+    "numpy float": lambda good, interval: np.float64(good),
+    "out of range": lambda good, interval: interval[0] - 1,
 }
 
 ENTRY_IDS = [entry[0] for entry in ENTRIES]
 
 
 @pytest.mark.parametrize("kind", list(BAD_KINDS))
-@pytest.mark.parametrize("entry, name, call, good, out", ENTRIES, ids=ENTRY_IDS)
-def test_bad_count_rejected_at_entry(entry, name, call, good, out, kind):
+@pytest.mark.parametrize("entry, name, call, good, interval", ENTRIES, ids=ENTRY_IDS)
+def test_bad_count_rejected_at_entry(entry, name, call, good, interval, kind):
     with pytest.raises(DomainError, match=f"need a whole {name} "):
-        call(BAD_KINDS[kind](good, out))
+        call(BAD_KINDS[kind](good, interval))
+
+
+@pytest.mark.parametrize("entry, name, call, good, interval", ENTRIES, ids=ENTRY_IDS)
+def test_count_admitted_across_its_interval(entry, name, call, good, interval):
+    low, high = interval
+    probes = [(low, True), (low - 1, False)]
+    if high < math.inf:
+        probes += [(high - 1, True), (high, False)]
+    check_probes(call, probes, f"need a whole {name} ")
 
 
 @pytest.mark.parametrize("to_numpy", [np.int64, np.uint64])
-@pytest.mark.parametrize("entry, name, call, good, out", ENTRIES, ids=ENTRY_IDS)
-def test_numpy_integers_accepted(entry, name, call, good, out, to_numpy):
+@pytest.mark.parametrize("entry, name, call, good, interval", ENTRIES, ids=ENTRY_IDS)
+def test_numpy_integers_accepted(entry, name, call, good, interval, to_numpy):
     call(to_numpy(good))
 
 
 COVARIANCE = random_matrix.covariance_spec(2, 4)
 COVARIANCE_INPUTS = np.arange(1.0, 9.0) ** 2 / 8  # a full-rank covariance
-POINTS = euclidean.PointSet(2, rng.uniform_open(rng.seed_stream(1), (16, 2)))
-SIX_POINTS = euclidean.PointSet(2, POINTS.points[:6])
 COSTS = assignment.CostMatrix(3, np.arange(1.0, 10.0).reshape(3, 3) / 10)
 DISORDER = spin_glass.SKDisorder(3, np.array([0.5, -1.0, 2.0]))
 ENERGIES = spin_glass.enumerate_energies(DISORDER)
+ONE_SPIN = spin_glass.SKDisorder(1, np.zeros(0))
 CERTIFICATE = dict(
     delta=1, p_close_hat=0.5, p_close_slack=0, tv_bound=1, confidence=0.9
 )
@@ -207,154 +328,212 @@ def certificate(field, value):
     return coupling.CouplingCertificate(**{**CERTIFICATE, field: value})
 
 
-def jensen(alpha=1, beta=1):
-    return spin_glass.jensen_gap_check(DISORDER, alpha, beta, ENERGIES, ENERGIES)
-
-
 def rhee(alpha=0.3, beta=1):
-    return euclidean.rhee_coupling_sample(16, alpha, beta, rng.seed_stream(1), 500)
+    return euclidean.rhee_coupling_sample(8, alpha, beta, rng.seed_stream(1), 500)
 
 
-# (id, name the message starts with, call of the real, accepted value, value
-# outside the interval); a whole accepted value is tried as an int too, but
-# (0, 1) holds no integer
+# (id, name the message starts with, call of the real, accepted value, the
+# interval (low, high, ends) of the argument, written as ``real`` takes one);
+# a whole accepted value is tried as an int too.  An entry that checks
+# alpha / d admits alpha in d times the interval it checks.  The rows take
+# d = 1 where they can, and else d = sqrt(2) (two points, two inputs): from
+# d = 2 on, alpha / d rounds the least negative double to -0.0, which [0, ...)
+# holds, so the double nearest 0 from below would be admitted
 REALS = [
-    ("tv_upper_from_affinity", "rho", coupling.tv_upper_from_affinity, 1, 1.5),
+    ("tv_upper_from_affinity", "rho", coupling.tv_upper_from_affinity, 1, (0, 1, "[]")),
     (
         "bernoulli_mixing_coupling",
         "alpha",
-        lambda x: coupling.bernoulli_mixing_coupling(4, x, rng.seed_stream(1)),
-        1,
-        2,
+        lambda x: coupling.bernoulli_mixing_coupling(1, x, rng.seed_stream(1)),
+        0,
+        (0, 1, "[)"),
     ),
-    ("bernoulli_exact_tv", "eps", lambda x: coupling.bernoulli_exact_tv(4, x), 0, 1),
+    (
+        "bernoulli_exact_tv",
+        "eps",
+        lambda x: coupling.bernoulli_exact_tv(4, x),
+        0,
+        (0, 1, "[)"),
+    ),
     (
         "hoeffding_slack",
         "confidence",
         lambda x: coupling.hoeffding_slack(10, x),
         0.9,
-        1,
+        (0, 1, "()"),
     ),
     *[
-        (f"CouplingCertificate {field}", field, partial(certificate, field), good, out)
-        for field, good, out in [
-            ("delta", 1, -1),
-            ("p_close_hat", 1, 2),
-            ("p_close_slack", 0, -1),
-            ("tv_bound", 1, 2),
-            ("confidence", 0.9, 0),
+        (f"CouplingCertificate {field}", field, partial(certificate, field), good, ends)
+        for field, good, ends in [
+            ("delta", 1, (0, math.inf, "[)")),
+            ("p_close_hat", 1, (0, 1, "[]")),
+            ("p_close_slack", 0, (0, math.inf, "[]")),
+            ("tv_bound", 1, (0, 1, "[]")),
+            ("confidence", 0.9, (0, 1, "()")),
         ]
     ],
-    ("certify delta", "delta", lambda x: coupling.certify([1, 0], 1, 0.9, x), 1, -1),
-    ("certify tv_bound", "tv_bound", lambda x: coupling.certify([1, 0], x, 0.9), 1, 2),
+    (
+        "certify delta",
+        "delta",
+        lambda x: coupling.certify([1, 0], 1, 0.9, x),
+        1,
+        (0, math.inf, "[)"),
+    ),
+    (
+        "certify tv_bound",
+        "tv_bound",
+        lambda x: coupling.certify([1, 0], x, 0.9),
+        1,
+        (0, 1, "[]"),
+    ),
     (
         "certify confidence",
         "confidence",
         lambda x: coupling.certify([1, 0], 1, x),
         0.9,
-        1,
+        (0, 1, "()"),
     ),
-    ("scaled_affinity", "eps", lambda x: densities.scaled_affinity(GAUSS, x), 0, 0.5),
-    ("AffinityResult rho", "rho", lambda x: densities.AffinityResult(x, 0), 1, 2),
+    (
+        "scaled_affinity",
+        "eps",
+        lambda x: densities.scaled_affinity(GAUSS, x),
+        0,
+        (-0.5, 0.5, "()"),
+    ),
+    (
+        "AffinityResult rho",
+        "rho",
+        lambda x: densities.AffinityResult(x, 0),
+        1,
+        (0, 1, "[]"),
+    ),
     (
         "AffinityResult quadrature_error_estimate",
         "quadrature_error_estimate",
         lambda x: densities.AffinityResult(1, x),
         0,
-        -1,
+        (0, math.inf, "[]"),
     ),
     (
         "scaling_coupling alpha",
         "alpha",
-        lambda x: euclidean.scaling_coupling(SIX_POINTS, x, 1, "tsp-exact", GAUSS),
-        1,
-        2,
+        lambda x: euclidean.scaling_coupling(
+            TWO_POINTS, x, 1, "matching-exact", GAUSS
+        ),
+        0,
+        (0, 0.5 * math.sqrt(2), "[)"),
     ),
     (
         "scaling_coupling r",
         "degree r",
-        lambda x: euclidean.scaling_coupling(SIX_POINTS, 1, x, "tsp-exact", GAUSS),
+        lambda x: euclidean.scaling_coupling(SIX_POINTS, 0, x, "tsp-exact", GAUSS),
         1,
-        0,
+        (0, math.inf, "()"),
     ),
-    ("PointSet.scaled", "factor", POINTS.scaled, 2, math.inf),
+    ("PointSet.scaled", "factor", POINTS.scaled, 2, (-math.inf, math.inf, "()")),
     (
         "rhee_mixture_affinity vol",
         "vol",
         lambda x: euclidean.rhee_mixture_affinity(x, 0.5),
         1,
-        0,
+        (0, 1, "(]"),
     ),
     (
         "rhee_mixture_affinity theta",
         "theta",
         lambda x: euclidean.rhee_mixture_affinity(0.5, x),
         0,
-        1,
+        (0, 1, "[)"),
     ),
-    ("rhee_coupling_sample alpha", "alpha", lambda x: rhee(alpha=x), 0.3, 1),
-    ("rhee_coupling_sample beta", "beta", lambda x: rhee(beta=x), 1, 4),
+    ("rhee_coupling_sample alpha", "alpha", lambda x: rhee(alpha=x), 0.3, (0, 1, "()")),
+    # beta / sqrt(8) rounds the least negative double to -0.0, inside [0, 1)
+    (
+        "rhee_coupling_sample beta",
+        "beta",
+        lambda x: rhee(beta=x),
+        1,
+        (-(2.0**-1074), math.sqrt(8), "[)"),
+    ),
+    # alpha in (0, inf), then alpha / sqrt(log n) in [0, 1/2); at n = 10**6
+    # the least positive alpha divides to 0, so the probe inside the open end
+    # 0 also tests that the second check admits 0
     (
         "graded_schedule",
         "alpha",
         lambda x: fpp.graded_schedule(grid(), x, 10**6),
         1,
-        2,
+        (0, 0.5 * math.sqrt(math.log(10**6)), "()"),
     ),
     (
         "invert_perturbation",
         "alpha",
         lambda x: assignment.invert_perturbation(0.5, x, 4),
         1,
-        -1,
+        (0, math.inf, "[)"),
     ),
     (
         "perturbation_affinity",
         "alpha",
-        lambda x: assignment.perturbation_affinity(EXPO, x, 4),
-        1,
-        2,
+        lambda x: assignment.perturbation_affinity(EXPO, x, 1),
+        0,
+        (0, 0.5, "[)"),
     ),
     (
         "gap_certificate",
         "alpha",
         lambda x: assignment.gap_certificate(COSTS, x),
         1,
-        -1,
+        (0, math.inf, "[)"),
     ),
     (
         "result_from_energies",
         "beta",
         lambda x: spin_glass.result_from_energies(ENERGIES, x),
         1,
-        -1,
+        (0, math.inf, "[)"),
     ),
     (
         "scale_disorder",
         "alpha",
-        lambda x: spin_glass.scale_disorder(DISORDER, x),
-        1,
-        2,
+        lambda x: spin_glass.scale_disorder(ONE_SPIN, x),
+        0,
+        (-0.5, 0.5, "()"),
     ),
-    ("jensen_gap_check alpha", "alpha", lambda x: jensen(alpha=x), 1, 2),
-    ("jensen_gap_check beta", "beta", lambda x: jensen(beta=x), 1, -1),
+    (
+        "jensen_gap_check alpha",
+        "alpha",
+        lambda x: spin_glass.jensen_gap_check(ONE_SPIN, x, 1, [0, 0], [0, 0]),
+        0,
+        (-0.5, 0.5, "()"),
+    ),
+    (
+        "jensen_gap_check beta",
+        "beta",
+        lambda x: spin_glass.jensen_gap_check(DISORDER, 0, x, ENERGIES, ENERGIES),
+        1,
+        (0, math.inf, "[)"),
+    ),
     (
         "scaling_shift_check",
         "alpha",
-        lambda x: random_matrix.scaling_shift_check(COVARIANCE, COVARIANCE_INPUTS, x),
-        1,
-        2,
+        lambda x: random_matrix.scaling_shift_check(
+            random_matrix.covariance_spec(1, 2), [1.0, 3.0], x
+        ),
+        0,
+        (0, 0.5 * math.sqrt(2), "[)"),
     ),
 ]
 
 BAD_REALS = {
-    "bool": lambda out: True,
-    "numpy bool": lambda out: np.True_,
-    "str": lambda out: "0.5",
-    "none": lambda out: None,
-    "array": lambda out: np.array([0.5]),
-    "nan": lambda out: math.nan,
-    "out of range": lambda out: out,
+    "bool": lambda interval: True,
+    "numpy bool": lambda interval: np.True_,
+    "str": lambda interval: "0.5",
+    "none": lambda interval: None,
+    "array": lambda interval: np.array([0.5]),
+    "nan": lambda interval: math.nan,
+    "out of range": lambda interval: next(
+        (value for value, admitted in near_ends(*interval) if not admitted), math.inf
+    ),
 }
 
 #: ``scaled_affinity`` stays an ``lru_cache``, whose cache info the benchmark
@@ -369,19 +548,30 @@ REAL_IDS = [entry[0] for entry in REALS]
 
 
 @pytest.mark.parametrize("kind", list(BAD_REALS))
-@pytest.mark.parametrize("entry, name, call, good, out", REALS, ids=REAL_IDS)
-def test_bad_real_rejected_at_entry(entry, name, call, good, out, kind):
+@pytest.mark.parametrize("entry, name, call, good, interval", REALS, ids=REAL_IDS)
+def test_bad_real_rejected_at_entry(entry, name, call, good, interval, kind):
     if (entry, kind) in UNHASHABLE:
         with pytest.raises(TypeError, match="unhashable"):
-            call(BAD_REALS[kind](out))
+            call(BAD_REALS[kind](interval))
         return
     with pytest.raises(DomainError, match=f"^need a real {re.escape(name)} "):
-        call(BAD_REALS[kind](out))
+        call(BAD_REALS[kind](interval))
+
+
+@pytest.mark.parametrize("entry, name, call, good, interval", REALS, ids=REAL_IDS)
+def test_real_admitted_across_its_interval(entry, name, call, good, interval):
+    low, high, ends = interval
+    infinities = [
+        (-math.inf, low == -math.inf and ends[0] == "["),
+        (math.inf, high == math.inf and ends[1] == "]"),
+    ]
+    probes = near_ends(*interval) + infinities
+    check_probes(call, probes, f"^need a real {re.escape(name)} ")
 
 
 ACCEPTED_REALS = [
     pytest.param(call, convert(good), id=f"{entry}-{convert.__name__}")
-    for entry, _name, call, good, _out in REALS
+    for entry, _name, call, good, _interval in REALS
     for convert in (np.float64, int, np.int64)
     if convert is np.float64 or float(good).is_integer()
 ]
@@ -392,84 +582,134 @@ def test_python_and_numpy_reals_accepted(call, value):
     call(value)
 
 
-MATRIX = np.array([[3.25, 1.0], [2.25, 7.0]])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: assignment.gap_certificate(COSTS, x),
+        lambda x: spin_glass.jensen_gap_check(DISORDER, x, 1, ENERGIES, ENERGIES),
+    ],
+    ids=["gap_certificate", "jensen_gap_check"],
+)
+def test_numpy_real_computes_as_its_float(call):
+    # a callee checks alpha again, but the entry's own check makes it the
+    # float it computes with, not a float32 that NumPy would keep; repr tells
+    # a float32 result from the float, which NumPy compares equal in float32
+    alpha = np.float32(0.3)
+    assert repr(call(alpha)) == repr(call(float(alpha)))
 
-# (id, name the message starts with, call of the array, an array it accepts)
+
+MATRIX = np.array([[3.25, 1.0], [2.25, 7.0]])
+COORDINATE = 0.5 * math.sqrt(SAFE_SUM / 2)  # a PointSet bound in two dimensions
+INPUT = math.sqrt(SAFE_SUM / (4 * 8))  # a covariance input bound at 8 inputs
+ENERGY = SAFE_SUM / 2  # an energy bound at beta = 1
+
+# (id, name the message starts with, call of the array, an array it accepts,
+# the interval (low, high, ends) of its entries, as ``reals`` takes it)
 ARRAYS = [
     (
         "PerturbationPlan eps",
         "eps",
         lambda a: coupling.PerturbationPlan("mixing", a, np.full(3, 0.9)),
         np.array([0.1, -0.2, 0.3]),
+        (-math.inf, math.inf, "()"),
     ),
     (
         "PerturbationPlan rho",
         "rho",
         lambda a: coupling.PerturbationPlan("mixing", np.zeros(3), a),
         np.array([0.0, 0.9, 1.0]),
+        (0, 1, "[]"),
     ),
-    ("PointSet", "points", lambda a: euclidean.PointSet(2, a), POINTS.points),
-    ("CostMatrix", "costs", lambda a: assignment.CostMatrix(3, a), COSTS.entries),
+    (
+        "PointSet",
+        "points",
+        lambda a: euclidean.PointSet(2, a),
+        POINTS.points,
+        symmetric(COORDINATE),
+    ),
+    (
+        "CostMatrix",
+        "costs",
+        lambda a: assignment.CostMatrix(3, a),
+        COSTS.entries,
+        (0, SAFE_SUM / (4 * 3), "[]"),
+    ),
     (
         "invert_perturbation",
         "perturbed costs",
         lambda a: assignment.invert_perturbation(a, 1.0, 4),
         np.array([0.0, 0.2, 2.0]),
+        (0, math.inf, "[)"),
     ),
     (
         "FppGrid h_weights",
         "h_weights",
         lambda a: fpp.FppGrid(3, 3, a, np.ones((3, 2)), (0, 0), (2, 2)),
         np.arange(1.0, 7.0).reshape(2, 3),
+        (0, SAFE_SUM / 12, "(]"),
     ),
     (
         "FppGrid v_weights",
         "v_weights",
         lambda a: fpp.FppGrid(3, 3, np.ones((2, 3)), a, (0, 0), (2, 2)),
         np.arange(1.0, 7.0).reshape(3, 2),
+        (0, SAFE_SUM / 12, "(]"),
     ),
     (
         "EpsSchedule h_values",
         "h_values",
         lambda a: fpp.EpsSchedule(a, np.full((4, 2), 0.1)),
         np.array([[0.0, 0.1, 0.2]] * 3),
+        (0, 0.5, "[)"),
     ),
     (
         "EpsSchedule v_values",
         "v_values",
         lambda a: fpp.EpsSchedule(np.full((3, 3), 0.1), a),
         np.array([[0.0, 0.3]] * 4),
+        (0, 0.5, "[)"),
     ),
     (
         "build covariance",
         "inputs",
         lambda a: random_matrix.build(COVARIANCE, a),
         COVARIANCE_INPUTS,
+        symmetric(INPUT),
     ),
     (
         "scaling_shift_check",
         "inputs",
         lambda a: random_matrix.scaling_shift_check(COVARIANCE, a, 1.0),
         COVARIANCE_INPUTS,
+        symmetric(INPUT),
     ),
-    ("log_abs_det", "matrix", random_matrix.log_abs_det, MATRIX),
+    (
+        "log_abs_det",
+        "matrix",
+        random_matrix.log_abs_det,
+        MATRIX,
+        (-math.inf, math.inf, "()"),
+    ),
     (
         "SKDisorder",
         "couplings",
         lambda a: spin_glass.SKDisorder(3, a),
         DISORDER.couplings,
+        symmetric(SAFE_SUM / (2 * 3)),
     ),
     (
         "result_from_energies",
         "energies",
         lambda a: spin_glass.result_from_energies(a, 1.0),
         ENERGIES,
+        symmetric(ENERGY),
     ),
     (
         "jensen_gap_check",
         "energies",
         lambda a: spin_glass.jensen_gap_check(DISORDER, 1, 1, ENERGIES, a),
         ENERGIES,
+        symmetric(ENERGY),
     ),
 ]
 
@@ -477,13 +717,24 @@ ARRAY_IDS = [entry[0] for entry in ARRAYS]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("entry, name, call, good", ARRAYS, ids=ARRAY_IDS)
-def test_non_finite_array_rejected_at_entry(entry, name, call, good, bad):
+@pytest.mark.parametrize("entry, name, call, good, interval", ARRAYS, ids=ARRAY_IDS)
+def test_non_finite_array_rejected_at_entry(entry, name, call, good, interval, bad):
     values = good.copy()
     call(values)
     values.flat[values.size // 2] = bad
     with pytest.raises(DomainError, match=f"^{name} must be finite"):
         call(values)
+
+
+@pytest.mark.parametrize("entry, name, call, good, interval", ARRAYS, ids=ARRAY_IDS)
+def test_array_entry_admitted_across_its_interval(entry, name, call, good, interval):
+    def call_with_middle(value):
+        values = good.copy()
+        values.flat[values.size // 2] = value
+        return call(values)
+
+    rejection = f"^{name} must be finite reals in "
+    check_probes(call_with_middle, near_ends(*interval), rejection)
 
 
 # (id, call of the covariance inputs) for every path into the covariance product
@@ -560,34 +811,47 @@ def solve_costs(x):
 
 
 # (id, name the message starts with, call that builds the entry type from
-# entries of size x and solves it, the bound its docstring states)
+# entries of size x and solves it, the interval its docstring states)
 BOUNDS = [
-    ("PointSet", "points", solve_points, 0.5 * math.sqrt(SAFE_SUM / 2)),
-    ("SKDisorder", "couplings", solve_disorder, SAFE_SUM / (2 * 66)),
-    ("result_from_energies beta 2", "energies", solve_energies(2.0), SAFE_SUM / 4),
-    ("result_from_energies beta 0", "energies", solve_energies(0.0), SAFE_SUM),
-    ("build", "inputs", solve_covariance, math.sqrt(SAFE_SUM / (4 * 8))),
-    ("FppGrid", "h_weights", solve_grid, SAFE_SUM / 12),
-    ("CostMatrix", "costs", solve_costs, SAFE_SUM / (4 * 3)),
+    ("PointSet", "points", solve_points, symmetric(COORDINATE)),
+    ("SKDisorder", "couplings", solve_disorder, symmetric(SAFE_SUM / (2 * 66))),
+    (
+        "result_from_energies beta 2",
+        "energies",
+        solve_energies(2.0),
+        symmetric(SAFE_SUM / 4),
+    ),
+    (
+        "result_from_energies beta 0",
+        "energies",
+        solve_energies(0.0),
+        symmetric(SAFE_SUM),
+    ),
+    ("build", "inputs", solve_covariance, symmetric(INPUT)),
+    ("FppGrid", "h_weights", solve_grid, (0, SAFE_SUM / 12, "(]")),
+    ("CostMatrix", "costs", solve_costs, (0, SAFE_SUM / (4 * 3), "[]")),
     # at alpha = 0 and above beta = sqrt(n) / 2, jensen_gap_check cuts the
     # SKDisorder bound by sqrt(n) / (2 beta)
     (
         "jensen_gap_check beta 3",
         "couplings",
         partial(jensen_at, 3, beta=3.0),
-        SAFE_SUM / (4 * 3 * 3) * math.sqrt(3),
+        symmetric(SAFE_SUM / (4 * 3 * 3) * math.sqrt(3)),
     ),
 ]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "entry, name, call, bound", BOUNDS, ids=[entry[0] for entry in BOUNDS]
+    "entry, name, call, interval", BOUNDS, ids=[entry[0] for entry in BOUNDS]
 )
-def test_array_at_its_overflow_bound_solves(entry, name, call, bound):
-    call(bound)
-    with pytest.raises(DomainError, match=f"^{name} must be finite reals in "):
-        call(math.nextafter(bound, math.inf))
+def test_array_at_its_overflow_bound_solves(entry, name, call, interval):
+    for value, admitted in near_ends(*interval):
+        if admitted:
+            call(value)
+        else:
+            with pytest.raises(DomainError, match=f"^{name} must be finite reals in "):
+                call(value)
 
 
 HEAVY = fpp.FppGrid(4, 4, np.full((3, 4), 1e10), np.full((4, 3), 1e10), (0, 0), (3, 3))
@@ -662,8 +926,8 @@ BAD_ARRAYS = {
 
 
 @pytest.mark.parametrize("kind", list(BAD_ARRAYS))
-@pytest.mark.parametrize("entry, name, call, good", ARRAYS, ids=ARRAY_IDS)
-def test_non_real_array_rejected_at_entry(entry, name, call, good, kind):
+@pytest.mark.parametrize("entry, name, call, good, interval", ARRAYS, ids=ARRAY_IDS)
+def test_non_real_array_rejected_at_entry(entry, name, call, good, interval, kind):
     with pytest.raises(DomainError, match=f"^{name} must be finite reals, "):
         call(BAD_ARRAYS[kind](good))
 
@@ -673,16 +937,107 @@ SHAPED = [entry for entry in ARRAYS if entry[0] != "invert_perturbation"]
 
 
 @pytest.mark.parametrize(
-    "entry, name, call, good", SHAPED, ids=[entry[0] for entry in SHAPED]
+    "entry, name, call, good, interval", SHAPED, ids=[entry[0] for entry in SHAPED]
 )
-def test_misshapen_array_rejected_at_entry(entry, name, call, good):
+def test_misshapen_array_rejected_at_entry(entry, name, call, good, interval):
     with pytest.raises(ShapeError, match=f"^{name} must have shape "):
         call(good[..., None])
 
 
-@pytest.mark.parametrize("entry, name, call, good", ARRAYS, ids=ARRAY_IDS)
-def test_nested_lists_of_ints_accepted(entry, name, call, good):
+#: arrays whose last axis may take any length: the rho of a plan and the
+#: v_values of a schedule must match them, and an energy table is checked
+#: against 2^n only where the spins are known
+FREE_LENGTH = {
+    "PerturbationPlan eps",
+    "invert_perturbation",
+    "EpsSchedule h_values",
+    "result_from_energies",
+}
+FIXED = [entry for entry in ARRAYS if entry[0] not in FREE_LENGTH]
+
+
+@pytest.mark.parametrize(
+    "entry, name, call, good, interval", FIXED, ids=[entry[0] for entry in FIXED]
+)
+def test_wrong_length_rejected_at_entry(entry, name, call, good, interval):
+    # a square matrix and a 2^n energy table are checked after reals, so the
+    # message names the array but need not start with it
+    with pytest.raises(ShapeError, match=re.escape(name)):
+        call(np.delete(good, 0, axis=-1))
+
+
+@pytest.mark.parametrize("entry, name, call, good, interval", ARRAYS, ids=ARRAY_IDS)
+def test_nested_lists_of_ints_accepted(entry, name, call, good, interval):
     call(np.rint(good).astype(int).tolist())
+
+
+def points(n):
+    return euclidean.PointSet(2, rng.uniform_open(rng.seed_stream(1), (n, 2)))
+
+
+def spins(n):
+    return spin_glass.SKDisorder(n, np.ones(n * (n - 1) // 2))
+
+
+# (id, message the SizeError matches, call of the size, sizes it solves,
+# sizes it rejects): each cap itself and the nearest size beyond it, an odd
+# size for the matching, and the empty set, which scaling_coupling once
+# divided by
+SIZES = [
+    (
+        "tsp_exact",
+        r"^tsp_exact supports 3 <= n <= 15, got",
+        lambda n: euclidean.tsp_exact(points(n)),
+        (3, 15),
+        (2, 16),
+    ),
+    (
+        "matching_exact",
+        r"^matching_exact supports even 2 <= n <= 16, got",
+        lambda n: euclidean.matching_exact(points(n)),
+        (2, 16),
+        (0, 3, 18),
+    ),
+    (
+        "nn_sum",
+        r"^nn_sum needs n >= 2, got",
+        lambda n: euclidean.nn_sum(points(n)),
+        (2,),
+        (1,),
+    ),
+    (
+        "scaling_coupling",
+        r"^scaling_coupling needs n >= 2 points, got",
+        lambda n: euclidean.scaling_coupling(points(n), 0, 1, "matching-exact", GAUSS),
+        (2,),
+        (0, 1),
+    ),
+    (
+        "enumerate_energies",
+        r"^(need at least 2|exact enumeration capped at 20) spins, got",
+        lambda n: spin_glass.enumerate_energies(spins(n)),
+        (2, 20),
+        (1, 21),
+    ),
+    (
+        "bernoulli_exact_tv",
+        r"^n = \d+ risks overflow; supported up to 100000",
+        lambda n: coupling.bernoulli_exact_tv(n, 0.1),
+        (100000,),
+        (100001,),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, message, call, solved, rejected", SIZES, ids=[entry[0] for entry in SIZES]
+)
+def test_size_caps(entry, message, call, solved, rejected):
+    for n in solved:
+        call(n)
+    for n in rejected:
+        with pytest.raises(SizeError, match=message):
+            call(n)
 
 
 PLAN = coupling.PerturbationPlan("mixing", np.zeros(3), np.full(3, 0.9))
@@ -890,6 +1245,13 @@ def test_wrong_type_rejected_at_entry(entry, name, cls, call, good, kind):
     message = f"{name} must be a {cls.__name__}, got {type(bad).__name__}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+def test_inequality_violation_keeps_its_details():
+    assert InequalityViolationError("gap below bound").details == {}
+    details = {"lhs": 0.25, "rhs": 0.5}
+    err = InequalityViolationError("gap below bound", details)
+    assert str(err) == "gap below bound" and err.details is details
 
 
 class TestWhole:

@@ -142,12 +142,6 @@ class TestTspExact:
         res = tsp_exact(ps)
         assert tour_length(ps, res.witness) == res.value
 
-    def test_size_caps(self):
-        with pytest.raises(SizeError):
-            tsp_exact(random_points(2, 0))
-        with pytest.raises(SizeError):
-            tsp_exact(random_points(16, 0))
-
     @pytest.mark.parametrize("n", range(3, 12))
     def test_matches_held_karp_loop(self, n):
         for seed in range(3):
@@ -323,10 +317,6 @@ class TestMatching:
             res = matching_exact(ps)
             assert res.value == pytest.approx(brute_force_matching(ps), abs=1e-10)
             assert matching_length(ps, res.witness) == res.value
-
-    def test_odd_rejected(self):
-        with pytest.raises(SizeError):
-            matching_exact(random_points(7, 0))
 
     @pytest.mark.parametrize("n", range(2, 13, 2))
     def test_matches_matching_loop(self, n):

@@ -224,12 +224,6 @@ class TestPassageTime:
 
 
 class TestSchedules:
-    def test_graded_source_strength_must_stay_below_half(self):
-        grid = unit_grid(8, 8, (0, 4), (7, 4))
-        # alpha / sqrt(log 50) = 0.506
-        with pytest.raises(DomainError):
-            graded_schedule(grid, 1.0, 50)
-
     @pytest.mark.parametrize("alpha, n", [(0.9, 40), (1.0, 100), (0.5, 12)])
     def test_benchmark_schedules_accepted(self, alpha, n):
         grid = unit_grid(8, 8, (0, 4), (7, 4))
@@ -343,11 +337,3 @@ class TestGapBound:
         assert sched.flat_values().size == 22  # as many edges as the 3 x 5 box
         with pytest.raises(ShapeError):
             ttq_lower_bound(geo, sched, len(geo.edge_list))
-
-    def test_m_domain(self):
-        grid = unit_grid(3, 3, (0, 0), (2, 2))
-        geo = passage_time(grid)
-        sched = graded_schedule(grid, 1.0, 100)
-        with pytest.raises(DomainError):
-            ttq_lower_bound(geo, sched, len(geo.edge_list) + 1)
-

@@ -143,7 +143,3 @@ class TestScalingShift:
         spec = covariance_spec(3, 8)
         scaling_shift_check(spec, random_inputs(spec, 0), 1.0)
         assert calls == ["build", "log_abs_det"]
-
-    def test_wrong_input_count(self):
-        with pytest.raises(ShapeError):
-            build(covariance_spec(3, 5), np.ones(16))

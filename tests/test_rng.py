@@ -26,15 +26,6 @@ def test_distinct_coordinates_differ():
     assert not np.array_equal(a, b)
 
 
-def test_replicate_bound_rejected():
-    with pytest.raises(DomainError):
-        seed_stream(0, 2**32, 0)
-    with pytest.raises(DomainError):
-        seed_stream(0, 0, 2**32)
-    with pytest.raises(DomainError):
-        seed_stream(-1, 0, 0)
-
-
 def test_uniform_open_strictly_inside():
     u = uniform_open(seed_stream(7), 10**5)
     assert np.all(u > 0.0)

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from flucert.densities import sample_iid, standard_density
-from flucert.errors import DomainError, ShapeError, SizeError
+from flucert.errors import DomainError, ShapeError
 from flucert.rng import seed_stream
 from flucert.spin_glass import (
     MAX_SPINS,
@@ -94,10 +94,6 @@ class TestEnumeration:
         np.testing.assert_allclose(
             enumerate_energies(dis), naive_energies(dis), atol=1e-10
         )
-
-    def test_size_cap(self):
-        with pytest.raises(SizeError):
-            enumerate_energies(random_disorder(21, 0))
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_matches_oracles(self, n):
